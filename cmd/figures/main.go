@@ -8,12 +8,14 @@
 //
 // -quick trims the sweep (one source, fewer trials) for a fast preview;
 // the default runs the full paper grid and takes a few minutes.
+// -cpuprofile writes a pprof CPU profile of the panel runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"repro"
@@ -21,18 +23,27 @@ import (
 
 func main() {
 	var (
-		panel    = flag.String("panel", "all", "panel to regenerate: all|4a|4b|5a|5b|6|7a|7b|complexity|gap|edit")
-		quick    = flag.Bool("quick", false, "single source, fewer Monte Carlo trials")
-		seed     = flag.Int64("seed", 1, "trace seed")
-		workers  = flag.Int("workers", 0, "worker pool size for the sweep and the solver cores (0: GOMAXPROCS); tables are identical for every value")
-		doAudit  = flag.Bool("audit", false, "cross-check every planned schedule through all execution semantics; aborts on any disagreement")
-		metrics  = flag.String("metrics", "", "write the aggregated JSON run report for the whole sweep to this file")
-		deadline = flag.Duration("deadline", 0, "per-schedule wall-clock solve budget (e.g. 500ms); an expired budget skips the data point instead of stalling the sweep. 0 plans unbudgeted")
+		panel      = flag.String("panel", "all", "panel to regenerate: all|4a|4b|5a|5b|6|7a|7b|complexity|gap|edit")
+		quick      = flag.Bool("quick", false, "single source, fewer Monte Carlo trials")
+		seed       = flag.Int64("seed", 1, "trace seed")
+		workers    = flag.Int("workers", 0, "worker pool size for the sweep and the solver cores (0: GOMAXPROCS); tables are identical for every value")
+		doAudit    = flag.Bool("audit", false, "cross-check every planned schedule through all execution semantics; aborts on any disagreement")
+		metrics    = flag.String("metrics", "", "write the aggregated JSON run report for the whole sweep to this file")
+		deadline   = flag.Duration("deadline", 0, "per-schedule wall-clock solve budget (e.g. 500ms); an expired budget skips the data point instead of stalling the sweep. 0 plans unbudgeted")
+		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the panel runs to this file")
 	)
 	flag.Parse()
 	if *deadline < 0 {
 		fmt.Fprintf(os.Stderr, "figures: -deadline must be >= 0 (got %v)\n", *deadline)
 		os.Exit(1)
+	}
+	stopProfile := func() error { return nil }
+	if *cpuprofile != "" {
+		var err error
+		if stopProfile, err = startCPUProfile(*cpuprofile); err != nil {
+			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	cfg := tmedb.DefaultConfig()
@@ -98,6 +109,10 @@ func main() {
 		emit(tmedb.EditChurnTable(cfg))
 		ran = true
 	}
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "figures: cpu profile: %v\n", err)
+		os.Exit(1)
+	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "figures: unknown panel %q\n", *panel)
 		os.Exit(1)
@@ -124,6 +139,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: run report written to %s\n", *metrics)
 	}
 	fmt.Fprintf(os.Stderr, "figures: done in %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// startCPUProfile starts a CPU profile into a new file at path. The
+// returned function stops the profile and closes the file.
+func startCPUProfile(path string) (func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 func seed2(s int64) int64 {

@@ -26,6 +26,15 @@ import "sync"
 // relaxation and CSR edge order this makes dist/prev bitwise identical
 // to the reference binary-heap Dijkstra with the same (dist, v) ordering
 // — the property the differential tests in csr_test.go pin.
+//
+// ShortestDistInto is the distances-only variant. Without predecessors
+// the settle order among equal labels is free: a label is the minimum
+// over paths of a left-folded float sum, and fl(x+w) is monotone in x,
+// so any order that settles in non-decreasing label order yields the
+// same labels bit for bit. It therefore settles each zero-weight
+// closure (relaxations with du+w == du: zero-weight edges, and weights
+// that rounding absorbs) from a plain stack before returning to the
+// buckets, skipping the heap sifts the (dist, v) tie-break costs.
 
 // nBuckets is the circular bucket count. The window of live keys spans
 // at most MaxW = (nBuckets-4) bucket widths; the 4 spare buckets absorb
@@ -45,17 +54,20 @@ func bqLess(a, b bqEntry) bool {
 }
 
 // DijkstraScratch holds the bucket storage and operation counters for
-// ShortestPathsInto. One scratch serves one Dijkstra at a time; parallel
-// sweeps take one per worker from the package pool (GetScratch). The
-// counters accumulate across runs until the owner flushes them to its
-// metrics recorder.
+// ShortestPathsInto and ShortestDistInto. One scratch serves one
+// Dijkstra at a time; parallel sweeps take one per worker from the
+// package pool (GetScratch). The counters accumulate across runs until
+// the owner flushes them to its metrics recorder.
 type DijkstraScratch struct {
 	buckets [nBuckets][]bqEntry
+	zero    []int32 // ShortestDistInto's zero-weight closure stack
 
 	// Pushes/Pops/Stale/Scanned count queue operations: entries
-	// inserted, live entries settled, superseded entries discarded, and
-	// entries examined by heap sifts.
-	Pushes, Pops, Stale, Scanned int64
+	// inserted, live entries settled from the bucket heaps, superseded
+	// entries discarded, and entries examined by heap sifts.
+	// ZeroSettles counts vertices ShortestDistInto settled from its
+	// closure stack, never through a bucket.
+	Pushes, Pops, Stale, Scanned, ZeroSettles int64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(DijkstraScratch) }}
@@ -63,7 +75,7 @@ var scratchPool = sync.Pool{New: func() any { return new(DijkstraScratch) }}
 // GetScratch takes a scratch from the package pool with zeroed counters.
 func GetScratch() *DijkstraScratch {
 	sc := scratchPool.Get().(*DijkstraScratch)
-	sc.Pushes, sc.Pops, sc.Stale, sc.Scanned = 0, 0, 0, 0
+	sc.Pushes, sc.Pops, sc.Stale, sc.Scanned, sc.ZeroSettles = 0, 0, 0, 0, 0
 	return sc
 }
 
@@ -127,6 +139,20 @@ func bqPop(b []bqEntry, scanned *int64) (bqEntry, []bqEntry) {
 	return root, b
 }
 
+// begin empties the buckets, queues src at distance 0 and returns the
+// inverse bucket width for g's weights.
+func (sc *DijkstraScratch) begin(g *CSR, src int) float64 {
+	for i := range sc.buckets {
+		sc.buckets[i] = sc.buckets[i][:0]
+	}
+	sc.buckets[0] = append(sc.buckets[0], bqEntry{0, int32(src)})
+	width := g.maxW / float64(nBuckets-4)
+	if width <= 0 {
+		width = 1 // all weights zero: every key is 0, one bucket suffices
+	}
+	return 1 / width
+}
+
 // ShortestPathsInto runs Dijkstra from src, writing distances and
 // predecessors into dist and prev (each len N, fully overwritten;
 // prev[v] = -1 for src and unreachable vertices). sc provides the queue
@@ -143,17 +169,8 @@ func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *Dijks
 		dist[i] = Inf
 		prev[i] = -1
 	}
-	for i := range sc.buckets {
-		sc.buckets[i] = sc.buckets[i][:0]
-	}
-	width := g.maxW / float64(nBuckets-4)
-	if width <= 0 {
-		width = 1 // all weights zero: every key is 0, one bucket suffices
-	}
-	inv := 1 / width
-
 	dist[src] = 0
-	sc.buckets[0] = append(sc.buckets[0], bqEntry{0, int32(src)})
+	inv := sc.begin(g, src)
 	count := 1
 	for vb := int64(0); count > 0; {
 		slot := vb % nBuckets
@@ -191,6 +208,81 @@ func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *Dijks
 			}
 		}
 	}
+}
+
+// ShortestDistInto runs Dijkstra from src, writing the same distances
+// as ShortestPathsInto into dist (len N, fully overwritten) without
+// keeping predecessors. A relaxed vertex whose new label equals its
+// settler's goes onto the scratch's closure stack instead of a bucket,
+// and the stack is drained before the next bucket pop: every label in
+// the queue is >= the settler's, so a closure vertex's label is final
+// the moment it is set. sc provides the queue storage; nil allocates a
+// throwaway.
+//
+//tmedbvet:hotpath
+func (g *CSR) ShortestDistInto(src int, dist []float64, sc *DijkstraScratch) {
+	n := g.N()
+	if sc == nil {
+		//tmedbvet:ignore hotalloc documented nil-scratch fallback for one-off callers; hot callers pass pooled scratch
+		sc = new(DijkstraScratch)
+	}
+	for i := 0; i < n; i++ {
+		dist[i] = Inf
+	}
+	dist[src] = 0
+	inv := sc.begin(g, src)
+	stack := sc.zero[:0]
+	count := 1
+	for vb := int64(0); count > 0; {
+		slot := vb % nBuckets
+		b := sc.buckets[slot]
+		if len(b) == 0 {
+			vb++
+			continue
+		}
+		var e bqEntry
+		e, b = bqPop(b, &sc.Scanned)
+		sc.buckets[slot] = b
+		count--
+		// Liveness as in ShortestPathsInto. A closure-settled vertex's
+		// label is below every key it was ever pushed with, so its
+		// bucket entries all read stale.
+		//tmedbvet:ignore floateq liveness test is identity of the pushed key with the current label, not a tolerance comparison
+		if dist[e.v] != e.d {
+			sc.Stale++
+			continue
+		}
+		sc.Pops++
+
+		u := e.v
+		du := e.d
+		for {
+			for ei := g.Off[u]; ei < g.Off[u+1]; ei++ {
+				v := g.To[ei]
+				nd := du + g.W[ei]
+				if nd >= dist[v] {
+					continue
+				}
+				dist[v] = nd
+				//tmedbvet:ignore floateq closure membership is exact label identity with the settler (zero or rounding-absorbed weight), not a tolerance test
+				if nd == du {
+					stack = append(stack, v)
+					continue
+				}
+				tb := int64(nd*inv) % nBuckets
+				sc.buckets[tb] = bqPush(sc.buckets[tb], bqEntry{nd, v})
+				count++
+				sc.Pushes++
+			}
+			if len(stack) == 0 {
+				break
+			}
+			u = stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			sc.ZeroSettles++
+		}
+	}
+	sc.zero = stack
 }
 
 // ShortestPaths is the allocating convenience form of ShortestPathsInto.

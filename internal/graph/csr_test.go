@@ -203,3 +203,128 @@ func TestBuildCSRPayloadPermutation(t *testing.T) {
 		t.Fatalf("maxW = %g, want 3", g.MaxW())
 	}
 }
+
+// firstBitDiff returns the first index where two distance vectors
+// differ bit for bit, or -1 when they are identical.
+func firstBitDiff(a, b []float64) int {
+	for v := range a {
+		if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+			return v
+		}
+	}
+	return -1
+}
+
+// TestShortestDistMatchesPaths is the differential test for the
+// distances-only Dijkstra: on random graphs it must write bit-for-bit
+// the labels ShortestPathsInto writes. The weight families cover
+// zero-weight plateaus (the auxiliary graph's wait and coverage edges),
+// weights a large base distance absorbs in rounding, and generic
+// continuous weights; every graph carries self-loops, parallel edges
+// and vertices no edge reaches.
+func TestShortestDistMatchesPaths(t *testing.T) {
+	families := []struct {
+		name    string
+		weights []float64
+	}{
+		{"plateaus", []float64{0, 0, 0, 0.5, 1, 1, 2.25, 4, 7.5}},
+		// 0x1p56 has an ulp of 16: 1 and 8 vanish when added to it, 16
+		// survives, so closures form on non-zero weights too.
+		{"absorbed", []float64{0x1p56, 0x1p56, 0, 1, 8, 16, 0.25, 24}},
+		{"continuous", nil},
+	}
+	rng := rand.New(rand.NewSource(12))
+	sc := GetScratch()
+	defer PutScratch(sc)
+	for _, fam := range families {
+		weight := func() float64 {
+			if fam.weights == nil {
+				return rng.Float64() * 10
+			}
+			return fam.weights[rng.Intn(len(fam.weights))]
+		}
+		for trial := 0; trial < 150; trial++ {
+			n := 2 + rng.Intn(80)
+			reach := n - rng.Intn(n/2+1) // vertices >= reach get no in-edges
+			d := New(n)
+			for k := rng.Intn(6 * n); k > 0; k-- {
+				u, v := rng.Intn(n), rng.Intn(reach)
+				d.AddEdge(u, v, weight())
+				if rng.Intn(8) == 0 {
+					d.AddEdge(u, v, weight()) // parallel edge
+				}
+				if rng.Intn(8) == 0 {
+					d.AddEdge(u, u, weight()) // self-loop
+				}
+			}
+			c := FromDigraph(d)
+			src := rng.Intn(n)
+			want := make([]float64, n)
+			c.ShortestPathsInto(src, want, make([]int32, n), nil)
+			got := make([]float64, n)
+			sc.Pops, sc.ZeroSettles = 0, 0
+			c.ShortestDistInto(src, got, sc)
+			if v := firstBitDiff(got, want); v >= 0 {
+				t.Fatalf("%s trial %d: dist[%d] = %v, want %v", fam.name, trial, v, got[v], want[v])
+			}
+			// Every reachable vertex is settled exactly once, either from
+			// a bucket or from the closure stack.
+			settled := int64(0)
+			for _, x := range want {
+				if !math.IsInf(x, 1) {
+					settled++
+				}
+			}
+			if sc.Pops+sc.ZeroSettles != settled {
+				t.Fatalf("%s trial %d: pops %d + zero settles %d != %d reachable",
+					fam.name, trial, sc.Pops, sc.ZeroSettles, settled)
+			}
+		}
+	}
+}
+
+// TestShortestDistAbsorbedClosure pins the closure on weights rounding
+// absorbs: 1 and 8 vanish against 2^56 (ulp 16; 8 is the ties-to-even
+// half), so x and y settle from the closure stack with the hub's label,
+// while the 16-weight edge reaches z through a bucket.
+func TestShortestDistAbsorbedClosure(t *testing.T) {
+	const src, hub, x, y, z = 0, 1, 2, 3, 4
+	d := New(5)
+	d.AddEdge(src, hub, 0x1p56)
+	d.AddEdge(hub, x, 1)
+	d.AddEdge(x, y, 8)
+	d.AddEdge(y, z, 16)
+	d.AddEdge(hub, z, 64)
+	c := FromDigraph(d)
+	want := make([]float64, 5)
+	c.ShortestPathsInto(src, want, make([]int32, 5), nil)
+	sc := new(DijkstraScratch)
+	got := make([]float64, 5)
+	c.ShortestDistInto(src, got, sc)
+	if v := firstBitDiff(got, want); v >= 0 {
+		t.Fatalf("dist[%d] = %v, want %v", v, got[v], want[v])
+	}
+	if got[y] != 0x1p56 || got[z] != 0x1p56+16 {
+		t.Fatalf("labels %v: want y at 2^56 and z at 2^56+16", got)
+	}
+	if sc.ZeroSettles != 2 || sc.Pops != 3 {
+		t.Fatalf("zero settles %d, pops %d: want 2 (x, y) and 3 (src, hub, z)", sc.ZeroSettles, sc.Pops)
+	}
+}
+
+// TestShortestDistIntoAllocs pins the distances-only Dijkstra's
+// allocation contract: with a warmed scratch it allocates nothing.
+func TestShortestDistIntoAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := FromDigraph(randomLevelDigraph(rng, 400, 2400))
+	dist := make([]float64, c.N())
+	sc := GetScratch()
+	defer PutScratch(sc)
+	c.ShortestDistInto(0, dist, sc) // grow buckets and closure stack
+	allocs := testing.AllocsPerRun(100, func() {
+		c.ShortestDistInto(0, dist, sc)
+	})
+	if allocs != 0 {
+		t.Fatalf("ShortestDistInto with a warmed scratch: %v allocs/run, want 0", allocs)
+	}
+}

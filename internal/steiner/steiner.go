@@ -16,11 +16,15 @@
 // The solver operates on the flat CSR representation with the monotone
 // bucket-queue Dijkstra (see internal/graph): distances are computed
 // lazily — one forward sweep per recursion root and one reverse-graph
-// sweep per terminal — into arena-recycled buffers, and the level-2
-// density scan prunes dominated candidate vertices with an admissible
-// lower bound before paying for their candidate sort. Levels >= 3 need
-// forward distances from arbitrary vertices and are therefore restricted
-// to small graphs.
+// sweep per terminal — into arena-recycled buffers. Forward sweeps keep
+// predecessors, which drive tree materialization; reverse sweeps are
+// distances-only (graph.ShortestDistInto), settling zero-weight closures
+// without the bucket heap's tie-break. The level-2 density scan prunes
+// dominated candidate vertices with an admissible lower bound, then
+// selects each survivor's nearest terminals from a binary heap in
+// canonical order, stopping early once the unimodal prefix density can
+// no longer improve. Levels >= 3 need forward distances from arbitrary
+// vertices and are therefore restricted to small graphs.
 package steiner
 
 import (
@@ -199,8 +203,8 @@ func (s Solution) Verify(g *graph.CSR, terminals []int) error {
 	return nil
 }
 
-// sp caches one Dijkstra run. The slices are arena-owned; Release
-// recycles them, after which the sp must not be read.
+// sp caches one forward Dijkstra run. The slices are arena-owned;
+// Release recycles them, after which the sp must not be read.
 type sp struct {
 	dist []float64
 	prev []int32
@@ -211,9 +215,9 @@ type sp struct {
 // arena-owned caches with Release when done.
 type Solver struct {
 	g   *graph.CSR
-	rev *graph.CSR  // lazily built transpose; see revGraph / WithReverse
-	fwd map[int]*sp // forward Dijkstra per source
-	bwd map[int]*sp // reverse-graph Dijkstra per terminal (distances TO it)
+	rev *graph.CSR        // lazily built transpose; see revGraph / WithReverse
+	fwd map[int]*sp       // forward Dijkstra per source
+	bwd map[int][]float64 // reverse-graph distances per terminal (distances TO it)
 	// arena recycles the dist/prev buffers across solver instances; the
 	// serial scratch holds the bucket queue between runs. Parallel
 	// workers take their own scratch from the package pool.
@@ -247,7 +251,6 @@ type Solver struct {
 	// serially before a fan-out or read after it joins.
 	dTo       [][]float64  // distToAll result, aliased into bwd cache entries
 	missing   []int        // distToAll cache-miss indices
-	computed  []*sp        // distToAll per-miss result slots
 	locals    []level2Best // per-chunk scan winners
 	cands     [][]td       // per-chunk candidate (terminal, distance) pairs
 	covBuf    [][]int      // per-chunk winning-coverage accumulators
@@ -276,7 +279,7 @@ func NewSolver(g *graph.CSR) *Solver {
 	return &Solver{
 		g:       g,
 		fwd:     make(map[int]*sp),
-		bwd:     make(map[int]*sp),
+		bwd:     make(map[int][]float64),
 		arena:   graph.GetArena(),
 		scratch: graph.GetScratch(),
 		workers: 1,
@@ -304,9 +307,8 @@ func (s *Solver) Release() {
 		s.arena.PutF64(c.dist)
 		s.arena.PutI32(c.prev)
 	}
-	for _, c := range s.bwd {
-		s.arena.PutF64(c.dist)
-		s.arena.PutI32(c.prev)
+	for _, d := range s.bwd {
+		s.arena.PutF64(d)
 	}
 	s.fwd, s.bwd = nil, nil
 	st := s.arena.Stats()
@@ -329,7 +331,8 @@ func flushScratch(r *obs.Recorder, sc *graph.DijkstraScratch) {
 	r.Counter("graph.bucketq.pops").Add(sc.Pops)
 	r.Counter("graph.bucketq.stale").Add(sc.Stale)
 	r.Counter("graph.bucketq.scanned").Add(sc.Scanned)
-	sc.Pushes, sc.Pops, sc.Stale, sc.Scanned = 0, 0, 0, 0
+	r.Counter("graph.bucketq.zero_settles").Add(sc.ZeroSettles)
+	sc.Pushes, sc.Pops, sc.Stale, sc.Scanned, sc.ZeroSettles = 0, 0, 0, 0, 0
 }
 
 // SetWorkers bounds the solver's internal worker pool (<= 1 serial) and
@@ -375,17 +378,16 @@ func (s *Solver) from(u int) *sp {
 }
 
 // distTo returns, for terminal x, the distance vector dist(v, x) over all
-// v, via one reverse-graph Dijkstra.
+// v, via one distances-only reverse-graph Dijkstra.
 func (s *Solver) distTo(x int) []float64 {
-	if c, ok := s.bwd[x]; ok {
-		return c.dist
+	if d, ok := s.bwd[x]; ok {
+		return d
 	}
 	s.obs.Counter("steiner.dijkstra.bwd").Inc()
-	n := s.g.N()
-	c := &sp{dist: s.arena.F64(n), prev: s.arena.I32(n)}
-	s.revGraph().ShortestPathsInto(x, c.dist, c.prev, s.scratch)
-	s.bwd[x] = c
-	return c.dist
+	d := s.arena.F64(s.g.N())
+	s.revGraph().ShortestDistInto(x, d, s.scratch)
+	s.bwd[x] = d
+	return d
 }
 
 // distToAll returns dTo[xi] = dist(·, rem[xi]) for every terminal,
@@ -402,9 +404,10 @@ func (s *Solver) distToAll(rem []int) [][]float64 {
 	dTo := s.dTo[:len(rem)]
 	missing := s.missing[:0] // indices into rem with no cached run
 	for xi, x := range rem {
-		if c, ok := s.bwd[x]; ok {
-			dTo[xi] = c.dist
+		if d, ok := s.bwd[x]; ok {
+			dTo[xi] = d
 		} else {
+			dTo[xi] = s.arena.F64(s.g.N())
 			missing = append(missing, xi)
 		}
 	}
@@ -412,20 +415,12 @@ func (s *Solver) distToAll(rem []int) [][]float64 {
 		return dTo
 	}
 	rev := s.revGraph()
-	n := s.g.N()
-	if cap(s.computed) < len(missing) {
-		s.computed = make([]*sp, len(missing))
-	}
-	computed := s.computed[:len(missing)]
-	for mi := range missing {
-		//tmedbvet:ignore hotalloc bwd cache fill: one pair of arena-backed headers per distinct terminal, amortized across every later round
-		computed[mi] = &sp{dist: s.arena.F64(n), prev: s.arena.I32(n)}
-	}
 	s.obs.Counter("steiner.dijkstra.bwd").Add(int64(len(missing)))
 	//tmedbvet:ignore hotalloc one capturing closure per pool fan-out, not per work item; the fan-out itself costs goroutine spawns
 	err := parallel.ForEachPoolCancel(s.obs.Pool("steiner.dijkstra"), s.cancel, s.workers, len(missing), func(mi int) {
+		xi := missing[mi]
 		sc := graph.GetScratch()
-		rev.ShortestPathsInto(rem[missing[mi]], computed[mi].dist, computed[mi].prev, sc)
+		rev.ShortestDistInto(rem[xi], dTo[xi], sc)
 		flushScratch(s.obs, sc)
 		graph.PutScratch(sc)
 	})
@@ -435,9 +430,8 @@ func (s *Solver) distToAll(rem []int) [][]float64 {
 		}
 		return nil
 	}
-	for mi, xi := range missing {
-		s.bwd[rem[xi]] = computed[mi]
-		dTo[xi] = computed[mi].dist
+	for _, xi := range missing {
+		s.bwd[rem[xi]] = dTo[xi]
 	}
 	return dTo
 }
@@ -620,10 +614,47 @@ type td struct {
 	d  float64
 }
 
+// tdLess is the canonical (d, xi) candidate order: exact compare on the
+// Dijkstra labels themselves, not a tolerance test — any widening would
+// make the order depend on neighbors.
+func tdLess(a, b td) bool {
+	//tmedbvet:ignore floateq deterministic tie-break orders on exact Dijkstra labels
+	return a.d < b.d || (a.d == b.d && a.xi < b.xi)
+}
+
+// tdSiftDown restores the tdLess min-heap property of h below i.
+func tdSiftDown(h []td, i int) {
+	e := h[i]
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if m+1 < len(h) && tdLess(h[m+1], h[m]) {
+			m++
+		}
+		if !tdLess(h[m], e) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = e
+}
+
+// level2Slack is the relative rounding margin of the level-2 scan's
+// early exit, per candidate of prefix length. The exit is exact when
+// every computed density past the stop is >= the best density; a
+// forward-error bound on the float prefix sums and the division shows
+// that holds once the next distance exceeds best·(1 + 6·kv·2^-53), and
+// 2^-40 per candidate clears that by more than three orders of
+// magnitude.
+const level2Slack = 0x1p-40
+
 // scanLevel2Range runs the serial density scan over vertices [r.Lo, r.Hi).
 //
 // Two admissible lower bounds prune dominated vertices before their
-// candidate sort. For any prefix size kp <= kv := min(k, |cands(v)|):
+// candidate selection. For any prefix size kp <= kv := min(k, |cands(v)|):
 //
 //	density(v, kp) = (distR[v] + Σ_{kp nearest} d) / kp
 //	              >= distR[v]/k                    (tier 1: d >= 0, kp <= k)
@@ -632,9 +663,16 @@ type td struct {
 // A vertex whose bound already reaches the best density seen cannot win
 // — winners update on strictly-less — so skipping it never changes the
 // selected (vertex, prefix). Tier 1 costs one division; tier 2 falls out
-// of the candidate-collection pass and skips the sort. Each parallel
+// of the candidate-collection pass and skips the selection. Each parallel
 // chunk starts from its own +Inf best, so chunks prune less than the
 // serial scan but select identical winners.
+//
+// A surviving vertex's candidates are heapified and popped in canonical
+// (d, xi) order, so the prefix sums fold in exactly the order a full
+// sort would give. Popping stops once the next distance exceeds the best
+// density by more than the rounding margin (level2Slack): every longer
+// prefix's density is a weighted mean of the current one (>= best) and
+// distances above best, so none can win. Near-ties keep popping.
 func (s *Solver) scanLevel2Range(k int, distR []float64, rem []int, dTo [][]float64, chunk int, r parallel.Range) level2Best {
 	best := level2Best{v: -1, density: math.Inf(1)}
 	// Chunk-owned buffers: first scan grows them, every later scan runs
@@ -671,30 +709,37 @@ func (s *Solver) scanLevel2Range(k int, distR []float64, rem []int, dTo [][]floa
 			pruned++
 			continue
 		}
-		slices.SortFunc(cands, func(a, b td) int {
-			// Canonical (distance, terminal-index) order: exact compare on
-			// the Dijkstra labels themselves, not a tolerance test — any
-			// widening would make the sort order depend on neighbors.
-			//tmedbvet:ignore floateq deterministic tie-break sorts on exact Dijkstra labels
-			if a.d != b.d {
-				if a.d < b.d {
-					return -1
-				}
-				return 1
-			}
-			return a.xi - b.xi
-		})
+		for i := len(cands)/2 - 1; i >= 0; i-- {
+			tdSiftDown(cands, i)
+		}
+		// Popped candidates collect at the tail in reverse pop order:
+		// the kp-th nearest ends up at cands[len(cands)-kp].
+		slack := 1 + float64(kv)*level2Slack
 		prefix := 0.0
+		bestKp := 0
 		for kp := 1; kp <= kv; kp++ {
-			prefix += cands[kp-1].d
+			c := cands[0]
+			if c.d > best.density*slack {
+				break
+			}
+			last := len(cands) - kp
+			cands[0] = cands[last]
+			cands[last] = c
+			if last > 0 {
+				tdSiftDown(cands[:last], 0)
+			}
+			prefix += c.d
 			if dens := (distR[v] + prefix) / float64(kp); dens < best.density {
 				best.density = dens
 				best.v = v
 				best.cost = prefix
-				bestCov = bestCov[:0]
-				for _, c := range cands[:kp] {
-					bestCov = append(bestCov, rem[c.xi])
-				}
+				bestKp = kp
+			}
+		}
+		if bestKp > 0 {
+			bestCov = bestCov[:0]
+			for kp := 1; kp <= bestKp; kp++ {
+				bestCov = append(bestCov, rem[cands[len(cands)-kp].xi])
 			}
 		}
 	}
@@ -754,15 +799,14 @@ func (s *Solver) rgBase(k, r int, X []int) (Solution, []int, float64) {
 		}
 	}
 	slices.SortFunc(cands, func(a, b td) int {
-		// Same canonical exact-label tie-break as scanLevel2Range.
-		//tmedbvet:ignore floateq deterministic tie-break sorts on exact Dijkstra labels
-		if a.d != b.d {
-			if a.d < b.d {
-				return -1
-			}
+		// Same canonical exact-label order as the level-2 scan's heap.
+		switch {
+		case tdLess(a, b):
+			return -1
+		case tdLess(b, a):
 			return 1
 		}
-		return a.xi - b.xi
+		return 0
 	})
 	if k > len(cands) {
 		k = len(cands)
