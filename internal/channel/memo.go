@@ -1,7 +1,6 @@
 package channel
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
 )
@@ -13,24 +12,28 @@ import (
 // construction, the greedy backbones, and the Steiner search re-query the
 // same ψ costs at the same DTS points over and over. The memo turns every
 // repeat into one map lookup without changing a single returned bit.
+// Only those two bisecting models are memoized: the Step and Rayleigh
+// inversions are a threshold and one logarithm, cheaper than any hash,
+// so they (and any other EDFunction) are computed directly and leave
+// the table and its statistics untouched.
 //
 // The zero value is ready to use and safe for concurrent use by multiple
 // goroutines. Entries are only ever computed from their key, so a racing
 // double-compute stores the same value twice — determinism is unaffected
 // by scheduling.
 type Memo struct {
-	m sync.Map // memoKey -> float64
-	// hits/misses feed the observability layer's cache metrics. A
-	// non-memoizable (non-comparable or nil) ED-function counts as a
-	// miss: the caller paid the full inversion either way.
+	mu sync.RWMutex
+	m  map[memoKey]float64
+	// hits/misses feed the observability layer's cache metrics; they
+	// count memoized models only.
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
 // MemoStats is a point-in-time view of the memo's effectiveness.
 type MemoStats struct {
-	// Hits and Misses count MinCost calls answered from / absent from
-	// the table since construction or the last Reset.
+	// Hits and Misses count Rician and Nakagami MinCost calls answered
+	// from / absent from the table since construction or the last Reset.
 	Hits, Misses int64
 	// Size is the current number of memoized entries.
 	Size int64
@@ -48,28 +51,41 @@ func (c *Memo) Stats() MemoStats {
 	}
 }
 
+// memoKey identifies one memoized inversion: the model, its shape
+// parameter (Rice K or Nakagami m), β and eps.
 type memoKey struct {
-	f   EDFunction
-	eps float64
+	nakagami    bool
+	shape, beta float64
+	eps         float64
 }
 
-// MinCost returns f.MinCost(eps), memoized when the concrete ED-function
-// type is comparable (all models in this package are value structs, so
-// they are). Non-comparable implementations fall through to a direct
-// computation rather than panicking on the map key.
+// MinCost returns f.MinCost(eps), memoized for the Rician and Nakagami
+// models and computed directly for every other EDFunction.
 func (c *Memo) MinCost(f EDFunction, eps float64) float64 {
-	if f == nil || !reflect.TypeOf(f).Comparable() {
-		c.misses.Add(1)
+	var k memoKey
+	switch f := f.(type) {
+	case Rician:
+		k = memoKey{shape: f.K, beta: f.Beta, eps: eps}
+	case Nakagami:
+		k = memoKey{nakagami: true, shape: f.M, beta: f.Beta, eps: eps}
+	default:
 		return f.MinCost(eps)
 	}
-	k := memoKey{f, eps}
-	if v, ok := c.m.Load(k); ok {
+	c.mu.RLock()
+	v, ok := c.m[k]
+	c.mu.RUnlock()
+	if ok {
 		c.hits.Add(1)
-		return v.(float64)
+		return v
 	}
 	c.misses.Add(1)
-	v := f.MinCost(eps)
-	c.m.Store(k, v)
+	v = f.MinCost(eps)
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[memoKey]float64)
+	}
+	c.m[k] = v
+	c.mu.Unlock()
 	return v
 }
 
@@ -81,17 +97,16 @@ func (c *Memo) MinCost(f EDFunction, eps float64) float64 {
 // every parameter), so Reset exists for the higher-level caches that key
 // by graph coordinates instead.
 func (c *Memo) Reset() {
-	c.m.Range(func(k, _ any) bool {
-		c.m.Delete(k)
-		return true
-	})
+	c.mu.Lock()
+	c.m = nil
+	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)
 }
 
 // Len reports the number of memoized entries (for tests and stats).
 func (c *Memo) Len() int {
-	n := 0
-	c.m.Range(func(_, _ any) bool { n++; return true })
-	return n
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.m)
 }

@@ -7,7 +7,7 @@ import (
 
 func TestMemoStatsHitMiss(t *testing.T) {
 	var m Memo
-	ed := Rayleigh{Beta: 1e-15}
+	ed := Rician{K: 5, Beta: 1e-15}
 	want := ed.MinCost(0.01)
 	if got := m.MinCost(ed, 0.01); got != want {
 		t.Fatalf("first MinCost = %g, want %g", got, want)
@@ -22,20 +22,33 @@ func TestMemoStatsHitMiss(t *testing.T) {
 	}
 }
 
-func TestMemoStatsCountNonComparableAsMiss(t *testing.T) {
+func TestMemoBypassesClosedFormModels(t *testing.T) {
 	var m Memo
-	// A pointer-typed ED-function is comparable (pointer identity), but a
-	// nil interface short-circuits before the type check only via f==nil;
-	// exercise the non-comparable branch with a func-backed implementation.
-	m.MinCost(funcED(func(eps float64) float64 { return eps * 2 }), 0.5)
-	st := m.Stats()
-	if st.Hits != 0 || st.Misses != 1 || st.Size != 0 {
-		t.Fatalf("non-memoizable call stats = %+v, want one uncached miss", st)
+	// Step and Rayleigh invert in closed form, and an arbitrary
+	// implementation (here a non-comparable func type) has no typed key:
+	// all three are computed directly and leave the statistics alone.
+	direct := []EDFunction{
+		Step{Threshold: 3},
+		Rayleigh{Beta: 1e-15},
+		funcED(func(eps float64) float64 { return eps * 2 }),
+	}
+	for _, ed := range direct {
+		if got, want := m.MinCost(ed, 0.5), ed.MinCost(0.5); got != want {
+			t.Fatalf("%T MinCost = %g, want %g", ed, got, want)
+		}
+	}
+	if st := m.Stats(); st != (MemoStats{}) {
+		t.Fatalf("closed-form calls stats = %+v, want zero", st)
+	}
+	// Rician and Nakagami share the table but never each other's keys.
+	m.MinCost(Rician{K: 2, Beta: 1e-15}, 0.01)
+	m.MinCost(Nakagami{M: 2, Beta: 1e-15}, 0.01)
+	if st := m.Stats(); st.Hits != 0 || st.Misses != 2 || st.Size != 2 {
+		t.Fatalf("stats = %+v, want two distinct misses", st)
 	}
 }
 
-// funcED adapts a func to EDFunction; func types are non-comparable, so
-// the memo must fall through to direct computation.
+// funcED adapts a func to EDFunction.
 type funcED func(eps float64) float64
 
 func (f funcED) FailureProb(w float64) float64 { return 1 }
@@ -43,7 +56,7 @@ func (f funcED) MinCost(eps float64) float64   { return f(eps) }
 
 func TestMemoResetClearsEntriesAndStats(t *testing.T) {
 	var m Memo
-	ed := Rayleigh{Beta: 2e-15}
+	ed := Nakagami{M: 2, Beta: 2e-15}
 	m.MinCost(ed, 0.01)
 	m.MinCost(ed, 0.01)
 	m.Reset()
@@ -63,10 +76,10 @@ func TestMemoResetClearsEntriesAndStats(t *testing.T) {
 func TestMemoStatsConcurrent(t *testing.T) {
 	var m Memo
 	eds := []EDFunction{
-		Rayleigh{Beta: 1e-15},
-		Rayleigh{Beta: 2e-15},
-		Rayleigh{Beta: 3e-15},
-		Rayleigh{Beta: 4e-15},
+		Rician{K: 5, Beta: 1e-15},
+		Rician{K: 5, Beta: 2e-15},
+		Nakagami{M: 2, Beta: 1e-15},
+		Nakagami{M: 2, Beta: 2e-15},
 	}
 	const workers = 8
 	const iters = 500

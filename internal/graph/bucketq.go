@@ -15,8 +15,11 @@ import "sync"
 // wait and coverage edges, so distances plateau onto few distinct
 // values and whole connected regions land in ONE bucket; a per-bucket
 // heap keeps those plateau pops at O(log k) where a scan-for-min would
-// go quadratic. Push is an append + sift-up into the key's bucket, pop
-// removes the root of the current bucket.
+// go quadratic. Heaps are built lazily: a push into a bucket ahead of
+// the sweep is a plain append, and when the sweep reaches a bucket it
+// drops the entries that went stale meanwhile and heapifies the rest.
+// A push into the current bucket sifts up; pop removes the root of the
+// current bucket.
 //
 // Determinism contract: pop returns the exact minimum of the (distance,
 // vertex) lexicographic order among live entries. All entries with equal
@@ -64,7 +67,8 @@ type DijkstraScratch struct {
 
 	// Pushes/Pops/Stale/Scanned count queue operations: entries
 	// inserted, live entries settled from the bucket heaps, superseded
-	// entries discarded, and entries examined by heap sifts.
+	// entries discarded, and sift-down levels examined by pops and by
+	// the heapify that activates a bucket.
 	// ZeroSettles counts vertices ShortestDistInto settled from its
 	// closure stack, never through a bucket.
 	Pushes, Pops, Stale, Scanned, ZeroSettles int64
@@ -111,14 +115,20 @@ func bqPop(b []bqEntry, scanned *int64) (bqEntry, []bqEntry) {
 	last := len(b) - 1
 	e := b[last]
 	b = b[:last]
-	if last == 0 {
-		return root, b
+	if last > 0 {
+		bqSiftDown(b, 0, e, scanned)
 	}
-	i := 0
+	return root, b
+}
+
+// bqSiftDown moves the hole at i down the heap b to e's final position
+// and writes e there. scanned counts the levels examined.
+func bqSiftDown(b []bqEntry, i int, e bqEntry, scanned *int64) {
+	n := len(b)
 	for {
 		l := 2*i + 1
-		if l >= last-1 {
-			if l == last-1 && bqLess(b[l], e) {
+		if l >= n-1 {
+			if l == n-1 && bqLess(b[l], e) {
 				b[i] = b[l]
 				i = l
 			}
@@ -136,7 +146,41 @@ func bqPop(b []bqEntry, scanned *int64) (bqEntry, []bqEntry) {
 		i = m
 	}
 	b[i] = e
-	return root, b
+}
+
+// bqEnqueue inserts e into bucket tb. Only the bucket being swept (cur)
+// is a heap; any other bucket is a plain list until the sweep reaches
+// it and activate heapifies it.
+func (sc *DijkstraScratch) bqEnqueue(tb, cur int64, e bqEntry) {
+	if tb == cur {
+		sc.buckets[tb] = bqPush(sc.buckets[tb], e)
+	} else {
+		sc.buckets[tb] = append(sc.buckets[tb], e)
+	}
+}
+
+// activate turns the bucket at slot, which the sweep has just reached,
+// into a heap and returns the number of entries it dropped. It first
+// drops the stale entries (d != dist[v]): labels only fall, so a stale
+// entry never turns live again, and a stale entry counts into Stale
+// once, here or when popped. The heapify's sift-down levels count into
+// Scanned.
+func (sc *DijkstraScratch) activate(slot int64, dist []float64) int {
+	b := sc.buckets[slot]
+	live := b[:0]
+	for _, e := range b {
+		//tmedbvet:ignore floateq liveness test is identity of the pushed key with the current label, not a tolerance comparison
+		if dist[e.v] == e.d {
+			live = append(live, e)
+		}
+	}
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		bqSiftDown(live, i, live[i], &sc.Scanned)
+	}
+	sc.buckets[slot] = live
+	dropped := len(b) - len(live)
+	sc.Stale += int64(dropped)
+	return dropped
 }
 
 // begin empties the buckets, queues src at distance 0 and returns the
@@ -172,11 +216,17 @@ func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *Dijks
 	dist[src] = 0
 	inv := sc.begin(g, src)
 	count := 1
+	active := false // whether the bucket at vb is a heap yet
 	for vb := int64(0); count > 0; {
 		slot := vb % nBuckets
+		if !active && len(sc.buckets[slot]) > 0 {
+			count -= sc.activate(slot, dist)
+			active = true
+		}
 		b := sc.buckets[slot]
 		if len(b) == 0 {
 			vb++
+			active = false
 			continue
 		}
 		var e bqEntry
@@ -201,8 +251,7 @@ func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *Dijks
 			if nd := du + g.W[ei]; nd < dist[v] {
 				dist[v] = nd
 				prev[v] = u
-				tb := int64(nd*inv) % nBuckets
-				sc.buckets[tb] = bqPush(sc.buckets[tb], bqEntry{nd, v})
+				sc.bqEnqueue(int64(nd*inv)%nBuckets, slot, bqEntry{nd, v})
 				count++
 				sc.Pushes++
 			}
@@ -233,11 +282,17 @@ func (g *CSR) ShortestDistInto(src int, dist []float64, sc *DijkstraScratch) {
 	inv := sc.begin(g, src)
 	stack := sc.zero[:0]
 	count := 1
+	active := false // whether the bucket at vb is a heap yet
 	for vb := int64(0); count > 0; {
 		slot := vb % nBuckets
+		if !active && len(sc.buckets[slot]) > 0 {
+			count -= sc.activate(slot, dist)
+			active = true
+		}
 		b := sc.buckets[slot]
 		if len(b) == 0 {
 			vb++
+			active = false
 			continue
 		}
 		var e bqEntry
@@ -269,8 +324,7 @@ func (g *CSR) ShortestDistInto(src int, dist []float64, sc *DijkstraScratch) {
 					stack = append(stack, v)
 					continue
 				}
-				tb := int64(nd*inv) % nBuckets
-				sc.buckets[tb] = bqPush(sc.buckets[tb], bqEntry{nd, v})
+				sc.bqEnqueue(int64(nd*inv)%nBuckets, slot, bqEntry{nd, v})
 				count++
 				sc.Pushes++
 			}

@@ -42,6 +42,7 @@ func EvaluateParallelObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, tri
 	counts := parallel.SplitCounts(trials, workers)
 
 	pool.Launched()
+	lt := newLinkTable(g, s) // shared read-only by every worker
 	results := make([]Result, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -49,7 +50,7 @@ func EvaluateParallelObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, tri
 		go func(w, n int) {
 			defer wg.Done()
 			start := time.Now()
-			results[w] = EvaluateObs(g, s, src, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, w))), rec)
+			results[w] = lt.run(g, src, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, w))), rec)
 			pool.Observe(w, int64(n), time.Since(start))
 		}(w, counts[w])
 	}

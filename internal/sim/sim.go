@@ -5,6 +5,11 @@
 // 1 - φ(w), and — crucially — a relay that never received the packet
 // cannot forward it, which is exactly the cascade failure that makes the
 // non-fading-aware algorithms lose ~a third of the nodes in Fig. 6.
+//
+// Link state does not depend on the trial, so an evaluation first builds
+// a link table — each transmission's in-range receivers with their
+// failure probabilities — and the trial loop only reads it and draws
+// from the RNG.
 package sim
 
 import (
@@ -80,10 +85,44 @@ func EvaluateObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int,
 	if trials <= 0 {
 		panic(fmt.Sprintf("sim: non-positive trials %d", trials))
 	}
-	ordered := make(schedule.Schedule, len(s))
-	copy(ordered, s)
-	ordered.SortByTime()
+	return newLinkTable(g, s).run(g, src, trials, rng, rec)
+}
 
+// linkTable is the trial-independent part of a Monte Carlo evaluation:
+// the schedule in time order and, for each transmission, the receivers
+// in range of it (ρ_τ = 1 at the transmission time) in EverNeighbors
+// order, each with its failure probability φ(w). Neither depends on the
+// trial, so an evaluation builds the table once and every trial (and
+// every worker) reads it.
+type linkTable struct {
+	ordered schedule.Schedule
+	// off indexes rx: ordered[k]'s receivers are rx[off[k]:off[k+1]].
+	off []int32
+	rx  []receiver
+}
+
+type receiver struct {
+	node tvg.NodeID
+	fail float64
+}
+
+func newLinkTable(g *tveg.Graph, s schedule.Schedule) *linkTable {
+	lt := &linkTable{ordered: make(schedule.Schedule, len(s)), off: make([]int32, 1, len(s)+1)}
+	copy(lt.ordered, s)
+	lt.ordered.SortByTime()
+	for _, x := range lt.ordered {
+		for _, j := range g.EverNeighbors(x.Relay) {
+			if g.RhoTau(x.Relay, j, x.T) {
+				lt.rx = append(lt.rx, receiver{j, g.EDAt(x.Relay, j, x.T).FailureProb(x.W)})
+			}
+		}
+		lt.off = append(lt.off, int32(len(lt.rx)))
+	}
+	return lt
+}
+
+// run executes trials Monte Carlo runs of the table's schedule.
+func (lt *linkTable) run(g *tveg.Graph, src tvg.NodeID, trials int, rng *rand.Rand, rec *obs.Recorder) Result {
 	// Handles are fetched once; the nil-safe ops inside the trial loop
 	// are allocation-free when rec is nil (the obs AllocsPerRun guard).
 	txFired := rec.Counter("sim.tx_fired")
@@ -93,7 +132,7 @@ func EvaluateObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int,
 
 	gamma := g.Params.GammaTh
 	tau := g.Tau()
-	res := Result{PlannedEnergy: ordered.NormalizedCost(gamma), Trials: trials, Workers: 1}
+	res := Result{PlannedEnergy: lt.ordered.NormalizedCost(gamma), Trials: trials, Workers: 1}
 	var sumDelivery, sumSqDelivery, sumEnergy float64
 	recvAt := make([]float64, g.N())
 	for trial := 0; trial < trials; trial++ {
@@ -102,7 +141,7 @@ func EvaluateObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int,
 		}
 		recvAt[src] = math.Inf(-1)
 		var energy float64
-		for _, x := range ordered {
+		for k, x := range lt.ordered {
 			if recvAt[x.Relay] > x.T+schedule.TimeTol {
 				// A relay whose packet has not arrived (t_recv = t_k + τ
 				// of some earlier reception) cannot forward it: a node
@@ -115,12 +154,12 @@ func EvaluateObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int,
 			}
 			txFired.Inc()
 			energy += x.W
-			for _, j := range g.EverNeighbors(x.Relay) {
-				if recvAt[j] <= x.T || !g.RhoTau(x.Relay, j, x.T) {
-					continue // holds the packet already, or out of range
+			for _, r := range lt.rx[lt.off[k]:lt.off[k+1]] {
+				j := r.node
+				if recvAt[j] <= x.T {
+					continue // holds the packet already
 				}
-				failure := g.EDAt(x.Relay, j, x.T).FailureProb(x.W)
-				if failure <= 0 || rng.Float64() >= failure {
+				if r.fail <= 0 || rng.Float64() >= r.fail {
 					rxOK.Inc()
 					if t := x.T + tau; t < recvAt[j] {
 						recvAt[j] = t

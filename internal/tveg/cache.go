@@ -29,9 +29,11 @@ import (
 //     Params.Eps is still safe (ε is part of every key); mutating the
 //     physical constants mid-flight requires InvalidateCostCache.
 type costCache struct {
-	minCost sync.Map // minCostKey -> float64
-	dcs     sync.Map // dcsKey -> []CostLevel (treat as read-only)
-	edMemo  channel.Memo
+	// rows[i] holds node i's cached queries. A per-node row keeps
+	// readers of different nodes off each other's locks and lets an
+	// edit drop exactly its endpoints' entries.
+	rows   []cacheRow
+	edMemo channel.Memo
 
 	// Per-map hit/miss counters feed the observability layer. Purely
 	// additive: no planner reads them back, so cached results (and
@@ -40,46 +42,111 @@ type costCache struct {
 	dcsHits, dcsMisses         atomic.Int64
 }
 
+// cacheRow caches node i's MinCost(i, ·, t) and DCS(i, t) results.
+type cacheRow struct {
+	mu      sync.RWMutex
+	minCost map[minCostKey]float64
+	dcs     map[dcsKey][]CostLevel // treat as read-only
+}
+
 type minCostKey struct {
-	i, j  tvg.NodeID
+	j     tvg.NodeID
 	t     float64
 	model Model
 	eps   float64
 }
 
 type dcsKey struct {
-	i     tvg.NodeID
 	t     float64
 	model Model
 	eps   float64
 }
 
+func newCostCache(n int) *costCache {
+	return &costCache{rows: make([]cacheRow, n)}
+}
+
+// row returns node i's cache row, or nil when the cache is disabled or
+// i is not a node.
+func (c *costCache) row(i tvg.NodeID) *cacheRow {
+	if c == nil || uint(i) >= uint(len(c.rows)) {
+		return nil
+	}
+	return &c.rows[i]
+}
+
+// memoMinCost inverts f through the ED-function memo, or directly when
+// the cache is disabled.
+func (c *costCache) memoMinCost(f channel.EDFunction, eps float64) float64 {
+	if c == nil {
+		return f.MinCost(eps)
+	}
+	return c.edMemo.MinCost(f, eps)
+}
+
+func (r *cacheRow) loadMinCost(k minCostKey) (float64, bool) {
+	r.mu.RLock()
+	w, ok := r.minCost[k]
+	r.mu.RUnlock()
+	return w, ok
+}
+
+func (r *cacheRow) storeMinCost(k minCostKey, w float64) {
+	r.mu.Lock()
+	if r.minCost == nil {
+		r.minCost = make(map[minCostKey]float64)
+	}
+	r.minCost[k] = w
+	r.mu.Unlock()
+}
+
+func (r *cacheRow) loadDCS(k dcsKey) ([]CostLevel, bool) {
+	r.mu.RLock()
+	out, ok := r.dcs[k]
+	r.mu.RUnlock()
+	return out, ok
+}
+
+func (r *cacheRow) storeDCS(k dcsKey, out []CostLevel) {
+	r.mu.Lock()
+	if r.dcs == nil {
+		r.dcs = make(map[dcsKey][]CostLevel)
+	}
+	r.dcs[k] = out
+	r.mu.Unlock()
+}
+
+// drop deletes row i's DCS entries and its MinCost entries towards j.
+func (r *cacheRow) drop(j tvg.NodeID) {
+	r.mu.Lock()
+	for k := range r.minCost {
+		if k.j == j {
+			delete(r.minCost, k)
+		}
+	}
+	r.dcs = nil
+	r.mu.Unlock()
+}
+
 // invalidatePair deletes every cached result an edit to the edge (a, b)
 // could change: the pair's MinCost entries (both orientations, every
-// model and ε) and the DCS entries of the two endpoint nodes. Entries of
-// other nodes stay — their cost sets depend only on their own incident
-// edges. Hit/miss counters keep accumulating across selective
-// invalidations so cache-effectiveness metrics span edit sequences.
+// model and ε) and the DCS entries of the two endpoint nodes. Only the
+// two endpoint rows are touched — other nodes' cost sets depend only on
+// their own incident edges. Hit/miss counters keep accumulating across
+// selective invalidations so cache-effectiveness metrics span edit
+// sequences.
 func (c *costCache) invalidatePair(a, b tvg.NodeID) {
-	c.minCost.Range(func(k, _ any) bool {
-		mk := k.(minCostKey)
-		if (mk.i == a && mk.j == b) || (mk.i == b && mk.j == a) {
-			c.minCost.Delete(k)
-		}
-		return true
-	})
-	c.dcs.Range(func(k, _ any) bool {
-		dk := k.(dcsKey)
-		if dk.i == a || dk.i == b {
-			c.dcs.Delete(k)
-		}
-		return true
-	})
+	c.rows[a].drop(b)
+	c.rows[b].drop(a)
 }
 
 func (c *costCache) reset() {
-	c.minCost.Range(func(k, _ any) bool { c.minCost.Delete(k); return true })
-	c.dcs.Range(func(k, _ any) bool { c.dcs.Delete(k); return true })
+	for i := range c.rows {
+		r := &c.rows[i]
+		r.mu.Lock()
+		r.minCost, r.dcs = nil, nil
+		r.mu.Unlock()
+	}
 	c.edMemo.Reset()
 	c.minCostHits.Store(0)
 	c.minCostMisses.Store(0)
@@ -93,7 +160,8 @@ type CacheStats struct {
 	MinCostHits, MinCostMisses, MinCostSize int64
 	DCSHits, DCSMisses, DCSSize             int64
 	// EDMemo is the underlying MinCost-inversion memo shared by all
-	// coordinate keys.
+	// coordinate keys. It holds the Rician and Nakagami inversions only:
+	// Step and Rayleigh costs are computed directly and never reach it.
 	EDMemo channel.MemoStats
 }
 
@@ -112,8 +180,13 @@ func (g *Graph) CostCacheStats() (CacheStats, bool) {
 		DCSMisses:     c.dcsMisses.Load(),
 		EDMemo:        c.edMemo.Stats(),
 	}
-	c.minCost.Range(func(_, _ any) bool { st.MinCostSize++; return true })
-	c.dcs.Range(func(_, _ any) bool { st.DCSSize++; return true })
+	for i := range c.rows {
+		r := &c.rows[i]
+		r.mu.RLock()
+		st.MinCostSize += int64(len(r.minCost))
+		st.DCSSize += int64(len(r.dcs))
+		r.mu.RUnlock()
+	}
 	return st, true
 }
 
@@ -123,7 +196,7 @@ func (g *Graph) CostCacheStats() (CacheStats, bool) {
 // Safe for concurrent readers; idempotent.
 func (g *Graph) EnableCostCache() *Graph {
 	if g.cache == nil {
-		g.cache = &costCache{}
+		g.cache = newCostCache(g.N())
 	}
 	return g
 }

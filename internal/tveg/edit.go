@@ -17,31 +17,30 @@ func (g *Graph) RemoveContact(i, j tvg.NodeID, iv interval.Interval) bool {
 	if iv.Empty() {
 		return false
 	}
+	s := g.Slot(i, j)
 	if !g.Graph.RemoveContact(i, j, iv) {
 		// Presence is the union of the segment intervals, so an
 		// unchanged presence means no segment overlaps iv either.
 		return false
 	}
-	k := tvg.MakeEdgeKey(i, j)
-	old := g.segs[k]
+	old := g.chans.at(s)
 	out := make([]Segment, 0, len(old)+1)
-	for _, s := range old {
-		if s.Iv.End <= iv.Start || s.Iv.Start >= iv.End {
-			out = append(out, s)
+	for _, seg := range old {
+		if seg.Iv.End <= iv.Start || seg.Iv.Start >= iv.End {
+			out = append(out, seg)
 			continue
 		}
-		if left := (interval.Interval{Start: s.Iv.Start, End: iv.Start}); !left.Empty() {
-			out = append(out, Segment{left, s.Dist})
+		if left := (interval.Interval{Start: seg.Iv.Start, End: iv.Start}); !left.Empty() {
+			out = append(out, Segment{left, seg.Dist})
 		}
-		if right := (interval.Interval{Start: iv.End, End: s.Iv.End}); !right.Empty() {
-			out = append(out, Segment{right, s.Dist})
+		if right := (interval.Interval{Start: iv.End, End: seg.Iv.End}); !right.Empty() {
+			out = append(out, Segment{right, seg.Dist})
 		}
 	}
 	if len(out) == 0 {
-		delete(g.segs, k)
-	} else {
-		g.segs[k] = out // clipping preserves the sorted order
+		out = nil // the TVG recycled the slot with the pair's last contact
 	}
+	g.chans.set(s, out) // clipping preserves the sorted order
 	if g.cache != nil {
 		g.cache.invalidatePair(i, j)
 	}
@@ -52,7 +51,7 @@ func (g *Graph) RemoveContact(i, j tvg.NodeID, iv interval.Interval) bool {
 // start order (nil when the pair has none). Edit generators use it to
 // aim removals and retimes at real contacts.
 func (g *Graph) Segments(i, j tvg.NodeID) []Segment {
-	segs := g.segs[tvg.MakeEdgeKey(i, j)]
+	segs := g.chans.at(g.Slot(i, j))
 	if len(segs) == 0 {
 		return nil
 	}
@@ -75,10 +74,9 @@ func (g *Graph) RetimeChannel(i, j tvg.NodeID, from, to interval.Interval) (bool
 	if to.Empty() {
 		return false, fmt.Errorf("tveg: retime (%d,%d) to empty interval %v", i, j, to)
 	}
-	k := tvg.MakeEdgeKey(i, j)
 	dist := 0.0
 	found := false
-	for _, s := range g.segs[k] {
+	for _, s := range g.chans.at(g.Slot(i, j)) {
 		if s.Iv == from {
 			dist = s.Dist
 			found = true

@@ -9,8 +9,10 @@
 package tveg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/channel"
@@ -101,10 +103,35 @@ type Graph struct {
 	*tvg.Graph
 	Params Params
 	Model  Model
-	segs   map[tvg.EdgeKey][]Segment
+	// chans holds the channel segments of every pair, indexed by the
+	// pair's slot in the TVG's link index. Shared (by pointer) with
+	// every WithModel view, like the TVG itself.
+	chans *channels
 	// cache memoizes pure cost queries; nil = disabled. Shared (by
 	// pointer) with every WithModel view. See EnableCostCache.
 	cache *costCache
+}
+
+// channels is the tveg half of the link index: segs[s] lists the
+// channel segments of the pair in slot s, in start order.
+type channels struct {
+	segs [][]Segment
+}
+
+// at returns the segments of the pair in slot s.
+func (c *channels) at(s tvg.Slot) []Segment {
+	if uint(s) < uint(len(c.segs)) {
+		return c.segs[s]
+	}
+	return nil
+}
+
+// set stores the segments of the pair in slot s.
+func (c *channels) set(s tvg.Slot, segs []Segment) {
+	for int(s) >= len(c.segs) {
+		c.segs = append(c.segs, nil)
+	}
+	c.segs[s] = segs
 }
 
 // New creates an empty TVEG over the span with traversal time tau.
@@ -113,7 +140,7 @@ func New(n int, span interval.Interval, tau float64, params Params, model Model)
 		Graph:  tvg.New(n, span, tau),
 		Params: params,
 		Model:  model,
-		segs:   make(map[tvg.EdgeKey][]Segment),
+		chans:  &channels{},
 	}
 }
 
@@ -138,11 +165,12 @@ func (g *Graph) AddContact(i, j tvg.NodeID, iv interval.Interval, dist float64) 
 		return
 	}
 	g.Graph.AddContact(i, j, iv)
-	k := tvg.MakeEdgeKey(i, j)
-	g.segs[k] = append(g.segs[k], Segment{iv, dist})
+	s := g.Slot(i, j)
+	segs := append(g.chans.at(s), Segment{iv, dist})
 	// Stable: equal-start segments keep insertion order, so replaying an
 	// edit sequence on a fresh graph reconstructs identical channel state.
-	sort.SliceStable(g.segs[k], func(a, b int) bool { return g.segs[k][a].Iv.Start < g.segs[k][b].Iv.Start })
+	sort.SliceStable(segs, func(a, b int) bool { return segs[a].Iv.Start < segs[b].Iv.Start })
+	g.chans.set(s, segs)
 	if g.cache != nil {
 		// A new contact only changes ρ_τ, segments, and cost sets at its
 		// own pair; everything else cached stays valid.
@@ -152,9 +180,16 @@ func (g *Graph) AddContact(i, j tvg.NodeID, iv interval.Interval, dist float64) 
 
 // SegmentAt returns the channel segment of edge (i, j) covering time t.
 func (g *Graph) SegmentAt(i, j tvg.NodeID, t float64) (Segment, bool) {
-	for _, s := range g.segs[tvg.MakeEdgeKey(i, j)] {
-		if s.Iv.Contains(t) {
-			return s, true
+	if s := g.Slot(i, j); s != tvg.NoSlot {
+		return g.segmentAt(s, t)
+	}
+	return Segment{}, false
+}
+
+func (g *Graph) segmentAt(s tvg.Slot, t float64) (Segment, bool) {
+	for _, seg := range g.chans.at(s) {
+		if seg.Iv.Contains(t) {
+			return seg, true
 		}
 	}
 	return Segment{}, false
@@ -163,21 +198,36 @@ func (g *Graph) SegmentAt(i, j tvg.NodeID, t float64) (Segment, bool) {
 // Beta returns β_{i,j,t} = N0·γth·d^α (Eq. 5's constant) for the contact
 // covering t, or +Inf when the edge is absent at t.
 func (g *Graph) Beta(i, j tvg.NodeID, t float64) float64 {
-	s, ok := g.SegmentAt(i, j, t)
+	seg, ok := g.SegmentAt(i, j, t)
 	if !ok {
 		return math.Inf(1)
 	}
-	return g.Params.NoiseGamma() * math.Pow(s.Dist, g.Params.Alpha)
+	return g.beta(seg)
+}
+
+func (g *Graph) beta(seg Segment) float64 {
+	return g.Params.NoiseGamma() * math.Pow(seg.Dist, g.Params.Alpha)
+}
+
+// linkBeta resolves ψ's constant for a transmission over the pair in
+// slot s at time t: ok is false when ρ_τ fails or no contact covers t.
+func (g *Graph) linkBeta(s tvg.Slot, t float64) (beta float64, ok bool) {
+	if s == tvg.NoSlot || !g.SlotRhoTau(s, t) {
+		return 0, false
+	}
+	seg, ok := g.segmentAt(s, t)
+	if !ok {
+		return 0, false
+	}
+	beta = g.beta(seg)
+	return beta, !math.IsInf(beta, 1)
 }
 
 // EDAt evaluates the cost function ψ(e_{i,j}, t): the ED-function
 // embedded on the edge at time t under the graph's channel model.
 func (g *Graph) EDAt(i, j tvg.NodeID, t float64) channel.EDFunction {
-	if !g.RhoTau(i, j, t) {
-		return channel.Absent{}
-	}
-	beta := g.Beta(i, j, t)
-	if math.IsInf(beta, 1) {
+	beta, ok := g.linkBeta(g.Slot(i, j), t)
+	if !ok {
 		return channel.Absent{}
 	}
 	switch g.Model {
@@ -200,30 +250,43 @@ func (g *Graph) EDAt(i, j tvg.NodeID, t float64) channel.EDFunction {
 // channels, or the w0 of §VI-B (φ(w0) = ε) for fading channels. +Inf
 // when the edge is absent.
 func (g *Graph) MinCost(i, j tvg.NodeID, t float64) float64 {
-	if g.cache != nil {
-		k := minCostKey{i, j, t, g.Model, g.Params.Eps}
-		if v, ok := g.cache.minCost.Load(k); ok {
-			g.cache.minCostHits.Add(1)
-			return v.(float64)
-		}
-		g.cache.minCostMisses.Add(1)
-		w := g.minCostUncached(i, j, t)
-		g.cache.minCost.Store(k, w)
+	r := g.cache.row(i)
+	if r == nil {
+		return g.linkMinCost(g.Slot(i, j), t)
+	}
+	k := minCostKey{j, t, g.Model, g.Params.Eps}
+	if w, ok := r.loadMinCost(k); ok {
+		g.cache.minCostHits.Add(1)
 		return w
 	}
-	return g.minCostUncached(i, j, t)
+	g.cache.minCostMisses.Add(1)
+	w := g.linkMinCost(g.Slot(i, j), t)
+	r.storeMinCost(k, w)
+	return w
 }
 
-func (g *Graph) minCostUncached(i, j tvg.NodeID, t float64) float64 {
-	ed := g.EDAt(i, j, t)
-	if _, absent := ed.(channel.Absent); absent {
+// linkMinCost is MinCost without the coordinate cache, for the pair in
+// slot s. Step and Rayleigh costs are a threshold and one logarithm,
+// computed directly; the bisecting Rician and Nakagami inversions go
+// through the ED-function memo when the cache is enabled.
+func (g *Graph) linkMinCost(s tvg.Slot, t float64) float64 {
+	beta, ok := g.linkBeta(s, t)
+	if !ok {
 		return math.Inf(1)
 	}
+	eps := g.Params.Eps
 	var w float64
-	if g.cache != nil {
-		w = g.cache.edMemo.MinCost(ed, g.Params.Eps)
-	} else {
-		w = ed.MinCost(g.Params.Eps)
+	switch g.Model {
+	case Static:
+		w = channel.Step{Threshold: beta}.MinCost(eps)
+	case RayleighFading:
+		w = channel.Rayleigh{Beta: beta}.MinCost(eps)
+	case RicianFading:
+		w = g.cache.memoMinCost(channel.Rician{K: g.Params.RiceK, Beta: beta}, eps)
+	case NakagamiFading:
+		w = g.cache.memoMinCost(channel.Nakagami{M: g.Params.NakagamiM, Beta: beta}, eps)
+	default:
+		panic(fmt.Sprintf("tveg: unknown model %v", g.Model))
 	}
 	if w < g.Params.WMin {
 		w = g.Params.WMin
@@ -248,38 +311,42 @@ type CostLevel struct {
 // When the cost cache is enabled the returned slice may be shared with
 // other callers and must not be modified.
 func (g *Graph) DCS(i tvg.NodeID, t float64) []CostLevel {
-	if g.cache != nil {
-		k := dcsKey{i, t, g.Model, g.Params.Eps}
-		if v, ok := g.cache.dcs.Load(k); ok {
-			g.cache.dcsHits.Add(1)
-			return v.([]CostLevel)
-		}
-		g.cache.dcsMisses.Add(1)
-		out := g.dcsUncached(i, t)
-		g.cache.dcs.Store(k, out)
+	r := g.cache.row(i)
+	if r == nil {
+		return g.dcsUncached(i, t)
+	}
+	k := dcsKey{t, g.Model, g.Params.Eps}
+	if out, ok := r.loadDCS(k); ok {
+		g.cache.dcsHits.Add(1)
 		return out
 	}
-	return g.dcsUncached(i, t)
+	g.cache.dcsMisses.Add(1)
+	out := g.dcsUncached(i, t)
+	r.storeDCS(k, out)
+	return out
 }
 
 func (g *Graph) dcsUncached(i tvg.NodeID, t float64) []CostLevel {
-	// Per-link costs go through minCostUncached, not MinCost: the DCS
-	// cache already memoizes the composite result per (i, t), so writing
-	// every (i, j, t) into the fine-grained MinCost map during the sweep
-	// is pure map traffic. The ED-function memo inside minCostUncached
-	// still deduplicates the expensive channel inversions per segment.
+	// The sweep walks i's row of the link index and costs each link
+	// through linkMinCost, not MinCost: the DCS cache already memoizes
+	// the composite result per (i, t), so writing every (i, j, t) into
+	// the fine-grained MinCost rows is pure map traffic.
+	nbrs, slots := g.Row(i)
 	var out []CostLevel
-	for _, j := range g.EverNeighbors(i) {
-		w := g.minCostUncached(i, j, t)
+	for k, j := range nbrs {
+		w := g.linkMinCost(slots[k], t)
 		if !math.IsInf(w, 1) {
 			out = append(out, CostLevel{w, j})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].W != out[b].W {
-			return out[a].W < out[b].W
+	slices.SortFunc(out, func(a, b CostLevel) int {
+		if a.W != b.W {
+			if a.W < b.W {
+				return -1
+			}
+			return 1
 		}
-		return out[a].Node < out[b].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 	return out
 }

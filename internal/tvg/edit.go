@@ -44,33 +44,23 @@ func (g *Graph) RemoveContact(i, j NodeID, iv interval.Interval) bool {
 	if iv.Empty() {
 		return false
 	}
-	k := MakeEdgeKey(i, j)
-	old, existed := g.presence[k]
-	if !existed {
+	s := g.Slot(i, j)
+	if s == NoSlot {
 		return false
 	}
+	old := g.presence[s]
 	next := old.Subtract(iv)
 	if next.Equal(old) {
 		return false
 	}
 	if next.Empty() {
-		delete(g.presence, k)
-		g.neighbors[i] = removeSorted(g.neighbors[i], j)
-		g.neighbors[j] = removeSorted(g.neighbors[j], i)
+		g.unlink(i, j, s)
 	} else {
-		g.presence[k] = next
+		g.presence[s] = next
 	}
 	g.version++
-	g.record(k)
+	g.record(MakeEdgeKey(i, j))
 	return true
-}
-
-func removeSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i >= len(s) || s[i] != v {
-		return s
-	}
-	return append(s[:i], s[i+1:]...)
 }
 
 // Journal returns the retained mutation journal entries with

@@ -43,11 +43,12 @@ func (g *Graph) ForemostJourney(src, dst NodeID, t0 float64) Journey {
 		if NodeID(best) == dst {
 			break
 		}
-		for _, j := range g.neighbors[best] {
+		r := &g.rows[best]
+		for k, j := range r.nbrs {
 			if done[j] {
 				continue
 			}
-			t, ok := g.earliestTransmissionAfter(NodeID(best), j, arr[best])
+			t, ok := g.earliestTransmissionAfter(r.slots[k], arr[best])
 			if ok && t+g.tau < arr[j] {
 				arr[j] = t + g.tau
 				prevHop[j] = Hop{From: NodeID(best), To: j, T: t}
@@ -102,8 +103,9 @@ func (g *Graph) ShortestJourney(src, dst NodeID, t0 float64) Journey {
 			if cur[u] >= inf {
 				continue
 			}
-			for _, v := range g.neighbors[u] {
-				t, ok := g.earliestTransmissionAfter(NodeID(u), v, cur[u])
+			r := &g.rows[u]
+			for k, v := range r.nbrs {
+				t, ok := g.earliestTransmissionAfter(r.slots[k], cur[u])
 				if ok && t+g.tau < next[v] {
 					next[v] = t + g.tau
 					improved = true
@@ -132,11 +134,12 @@ func (g *Graph) ShortestJourney(src, dst NodeID, t0 float64) Journey {
 			continue // cur was already reached with fewer hops
 		}
 		found := false
-		for _, u := range g.neighbors[cur] {
+		r := &g.rows[cur]
+		for k, u := range r.nbrs {
 			if a[h-1][u] >= inf {
 				continue
 			}
-			t, ok := g.earliestTransmissionAfter(u, cur, a[h-1][u])
+			t, ok := g.earliestTransmissionAfter(r.slots[k], a[h-1][u])
 			if ok && t+g.tau == a[h][cur] {
 				rev = append(rev, Hop{From: u, To: cur, T: t})
 				cur = u
@@ -196,11 +199,12 @@ func (g *Graph) FastestJourney(src, dst NodeID, t0, tEnd float64) Journey {
 func (g *Graph) departureCandidates(src NodeID, t0, tEnd float64) []float64 {
 	out := []float64{t0}
 	for i := 0; i < g.n; i++ {
-		for _, j := range g.neighbors[i] {
+		r := &g.rows[i]
+		for k, j := range r.nbrs {
 			if NodeID(i) > j {
 				continue // each edge once
 			}
-			eroded := g.Presence(NodeID(i), j).Erode(g.tau)
+			eroded := g.presence[r.slots[k]].Erode(g.tau)
 			for _, iv := range eroded.Intervals() {
 				if iv.Start >= t0 && iv.Start <= tEnd {
 					out = append(out, iv.Start)

@@ -9,7 +9,6 @@ package tvg
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/interval"
@@ -36,13 +35,17 @@ func MakeEdgeKey(i, j NodeID) EdgeKey {
 // wireless contacts are symmetric. The zero value is not usable; create
 // graphs with New.
 type Graph struct {
-	n        int
-	span     interval.Interval
-	tau      float64
-	presence map[EdgeKey]interval.Set
-	// neighbors[i] lists the nodes that share at least one presence
-	// interval with i, kept sorted for determinism.
-	neighbors [][]NodeID
+	n    int
+	span interval.Interval
+	tau  float64
+	// rows is the link index (links.go): rows[i] lists the nodes that
+	// share at least one presence interval with i, sorted, with the slot
+	// of each pair.
+	rows []row
+	// presence[s] is the presence set of the pair in slot s; free
+	// lists the slots of removed pairs for reuse.
+	presence []interval.Set
+	free     []Slot
 	// version counts topology mutations (AddContact calls that change
 	// presence). Memo caches downstream (dts, auxgraph) key on the
 	// (graph ID, version) pair, so a mutated graph never serves a
@@ -80,12 +83,11 @@ func New(n int, span interval.Interval, tau float64) *Graph {
 		panic(fmt.Sprintf("tvg: negative traversal time %g", tau))
 	}
 	return &Graph{
-		n:         n,
-		span:      span,
-		tau:       tau,
-		presence:  make(map[EdgeKey]interval.Set),
-		neighbors: make([][]NodeID, n),
-		id:        nextGraphID.Add(1),
+		n:    n,
+		span: span,
+		tau:  tau,
+		rows: make([]row, n),
+		id:   nextGraphID.Add(1),
 	}
 }
 
@@ -109,15 +111,10 @@ func (g *Graph) AddContact(i, j NodeID, iv interval.Interval) {
 	if iv.Empty() {
 		return
 	}
-	k := MakeEdgeKey(i, j)
-	old, existed := g.presence[k]
-	g.presence[k] = old.Add(iv)
+	s := g.link(i, j)
+	g.presence[s] = g.presence[s].Add(iv)
 	g.version++
-	g.record(k)
-	if !existed {
-		g.neighbors[i] = insertSorted(g.neighbors[i], j)
-		g.neighbors[j] = insertSorted(g.neighbors[j], i)
-	}
+	g.record(MakeEdgeKey(i, j))
 }
 
 // Version returns the topology mutation counter: it changes whenever a
@@ -137,17 +134,6 @@ func (g *Graph) ID() uint64 { return g.id }
 // code must never call it.
 func (g *Graph) SetIDForTest(id uint64) { g.id = id }
 
-func insertSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
 func (g *Graph) checkNode(i NodeID) {
 	if i < 0 || int(i) >= g.n {
 		panic(fmt.Sprintf("tvg: node %d out of range [0,%d)", i, g.n))
@@ -157,34 +143,39 @@ func (g *Graph) checkNode(i NodeID) {
 // Presence returns the presence set of the edge (i, j): the times at
 // which ρ(e_{i,j}, ·) = 1.
 func (g *Graph) Presence(i, j NodeID) interval.Set {
-	return g.presence[MakeEdgeKey(i, j)]
+	if s := g.Slot(i, j); s != NoSlot {
+		return g.presence[s]
+	}
+	return interval.Set{}
 }
 
 // Rho evaluates the presence function ρ(e_{i,j}, t).
 func (g *Graph) Rho(i, j NodeID, t float64) bool {
-	return g.presence[MakeEdgeKey(i, j)].Contains(t)
+	return g.Presence(i, j).Contains(t)
 }
 
 // RhoTau evaluates ρ_τ(e_{i,j}, t): whether i and j stay connected during
 // the whole closed window [t, t+τ], the condition for completing one
 // transmission started at t (§IV).
 func (g *Graph) RhoTau(i, j NodeID, t float64) bool {
-	return g.presence[MakeEdgeKey(i, j)].ContainsWindow(t, g.tau)
+	s := g.Slot(i, j)
+	return s != NoSlot && g.SlotRhoTau(s, t)
 }
 
 // EverNeighbors returns the nodes that are ever connected to i, sorted.
 // The returned slice must not be modified.
 func (g *Graph) EverNeighbors(i NodeID) []NodeID {
 	g.checkNode(i)
-	return g.neighbors[i]
+	return g.rows[i].nbrs
 }
 
 // NeighborsAt appends to dst the nodes adjacent to i at time t (in the
 // ρ_τ sense) and returns the extended slice, sorted.
 func (g *Graph) NeighborsAt(i NodeID, t float64, dst []NodeID) []NodeID {
 	g.checkNode(i)
-	for _, j := range g.neighbors[i] {
-		if g.RhoTau(i, j, t) {
+	r := &g.rows[i]
+	for k, j := range r.nbrs {
+		if g.SlotRhoTau(r.slots[k], t) {
 			dst = append(dst, j)
 		}
 	}
@@ -195,8 +186,8 @@ func (g *Graph) NeighborsAt(i NodeID, t float64, dst []NodeID) []NodeID {
 func (g *Graph) DegreeAt(i NodeID, t float64) int {
 	g.checkNode(i)
 	d := 0
-	for _, j := range g.neighbors[i] {
-		if g.RhoTau(i, j, t) {
+	for _, s := range g.rows[i].slots {
+		if g.SlotRhoTau(s, t) {
 			d++
 		}
 	}
@@ -231,7 +222,7 @@ func (g *Graph) AverageDegreeOver(start, end float64, samples int) float64 {
 // into adjacent and non-adjacent intervals of the pair (i, j), in the
 // ρ_τ sense.
 func (g *Graph) PairAdjacentPartition(i, j NodeID) partition.Partition {
-	eroded := g.presence[MakeEdgeKey(i, j)].Erode(g.tau)
+	eroded := g.Presence(i, j).Erode(g.tau)
 	pts := eroded.Breakpoints(g.span, nil)
 	return partition.New(g.span.Start, g.span.End, pts...)
 }
@@ -242,9 +233,8 @@ func (g *Graph) PairAdjacentPartition(i, j NodeID) partition.Partition {
 func (g *Graph) AdjacentPartition(i NodeID) partition.Partition {
 	g.checkNode(i)
 	var pts []float64
-	for _, j := range g.neighbors[i] {
-		eroded := g.presence[MakeEdgeKey(i, j)].Erode(g.tau)
-		pts = eroded.Breakpoints(g.span, pts)
+	for _, s := range g.rows[i].slots {
+		pts = g.presence[s].Erode(g.tau).Breakpoints(g.span, pts)
 	}
 	return partition.New(g.span.Start, g.span.End, pts...)
 }
@@ -259,10 +249,10 @@ func (g *Graph) AdjacentPartitions() []partition.Partition {
 }
 
 // earliestTransmissionAfter returns the earliest time t >= t0 at which a
-// transmission from i to j can start (ρ_τ(e, t) = 1), or ok = false if no
-// such time exists within the span.
-func (g *Graph) earliestTransmissionAfter(i, j NodeID, t0 float64) (float64, bool) {
-	eroded := g.presence[MakeEdgeKey(i, j)].Erode(g.tau)
+// transmission over the pair in slot s can start (ρ_τ(e, t) = 1), or
+// ok = false if no such time exists within the span.
+func (g *Graph) earliestTransmissionAfter(s Slot, t0 float64) (float64, bool) {
+	eroded := g.presence[s].Erode(g.tau)
 	for _, iv := range eroded.Intervals() {
 		cand := math.Max(t0, iv.Start)
 		// Eroded intervals are half-open: cand must lie strictly before
@@ -301,11 +291,12 @@ func (g *Graph) EarliestArrivals(src NodeID, t0 float64) []float64 {
 			break
 		}
 		done[best] = true
-		for _, j := range g.neighbors[best] {
+		r := &g.rows[best]
+		for k, j := range r.nbrs {
 			if done[j] {
 				continue
 			}
-			t, ok := g.earliestTransmissionAfter(NodeID(best), j, arr[best])
+			t, ok := g.earliestTransmissionAfter(r.slots[k], arr[best])
 			if ok && t+g.tau < arr[j] {
 				arr[j] = t + g.tau
 			}
