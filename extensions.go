@@ -41,20 +41,20 @@ type (
 func NewRecorder() *Recorder { return obs.New() }
 
 // CacheStats is a point-in-time view of a graph's cost-cache counters
-// (MinCost and DCS memo tables plus the shared channel-inversion memo).
+// (the MinCost memo table plus the shared channel-inversion memo; the
+// DCS fields read 0, since discrete cost sets are not cached).
 type CacheStats = tveg.CacheStats
 
 // RecordCacheStats samples g's cost-cache counters into rec under the
-// cache.tveg.min_cost / cache.tveg.dcs / cache.channel.memo gauge
-// families (run reports derive a .hit_rate per family). No-op when rec
-// is nil or the graph's cache is disabled.
+// cache.tveg.min_cost / cache.channel.memo gauge families (run reports
+// derive a .hit_rate per family). No-op when rec is nil or the graph's
+// cache is disabled.
 func RecordCacheStats(rec *Recorder, g *Graph) {
 	st, ok := g.CostCacheStats()
 	if !ok || rec == nil {
 		return
 	}
 	rec.RecordCache("tveg.min_cost", st.MinCostHits, st.MinCostMisses, st.MinCostSize)
-	rec.RecordCache("tveg.dcs", st.DCSHits, st.DCSMisses, st.DCSSize)
 	rec.RecordCache("channel.memo", st.EDMemo.Hits, st.EDMemo.Misses, st.EDMemo.Size)
 }
 

@@ -117,23 +117,20 @@ func (s *informedSet) uncovered() []tvg.NodeID {
 	return out
 }
 
-// candidate is one evaluated greedy transmission: relay transmits at t
-// with cost w, newly informing newNodes.
+// candidate is one scored transmission: relay transmits at t, its k-th
+// table point, with cost w, newly informing n nodes. The zero value
+// (n = 0) is "no candidate".
 type candidate struct {
-	relay    tvg.NodeID
-	t        float64
-	w        float64
-	newNodes []tvg.NodeID
+	relay tvg.NodeID
+	k, n  int
+	t, w  float64
 }
 
 // betterThan orders candidates: more coverage first, then earlier, then
 // cheaper, then smaller relay id for determinism.
-func (c *candidate) betterThan(o *candidate) bool {
-	if o == nil {
-		return true
-	}
-	if len(c.newNodes) != len(o.newNodes) {
-		return len(c.newNodes) > len(o.newNodes)
+func (c candidate) betterThan(o candidate) bool {
+	if c.n != o.n {
+		return c.n > o.n
 	}
 	//tmedbvet:ignore floateq total-order comparator: candidate selection must break ties bitwise or the greedy pick becomes run-dependent
 	if c.t != o.t {
@@ -146,40 +143,61 @@ func (c *candidate) betterThan(o *candidate) bool {
 	return c.relay < o.relay
 }
 
-// bestLevelCandidate finds, for relay i at time t, the DCS level
-// maximizing newly informed nodes with minimal sufficient cost. It
-// returns nil when no level informs anyone new.
-func bestLevelCandidate(view *tveg.Graph, inf *informedSet, i tvg.NodeID, t float64) *candidate {
-	levels := view.DCS(i, t)
-	if len(levels) == 0 {
-		return nil
+// costTable is one baseline plan's table of (relay, DTS point) cost
+// sets. pts[i] holds node i's DTS points that fit the window, first
+// t+τ ≤ deadline+TimeTol and, once i is informed, t ≥ its informed
+// time − TimeTol; dcs[i][k] is DCS(i, pts[i][k]), filled the first time
+// a round touches it and read by index afterwards.
+type costTable struct {
+	view  *tveg.Graph
+	pts   [][]float64
+	dcs   [][][]tveg.CostLevel
+	next  []int // next[i]: i's first point that may inform someone new; -1 until i is informed
+	fills int
+}
+
+func newCostTable(view *tveg.Graph, points [][]float64, deadline float64) *costTable {
+	c := &costTable{view: view, pts: make([][]float64, len(points)),
+		dcs: make([][][]tveg.CostLevel, len(points)), next: make([]int, len(points))}
+	tau := view.Tau()
+	for i, p := range points {
+		// Points[i] is sorted, so the points that fit are a prefix.
+		c.pts[i] = p[:sort.Search(len(p), func(k int) bool { return p[k]+tau > deadline+schedule.TimeTol })]
+		c.next[i] = -1
 	}
-	var best *candidate
-	var covered []tvg.NodeID
-	for _, lvl := range levels {
-		if !inf.informed(lvl.Node) {
-			covered = append(covered, lvl.Node)
-			cand := &candidate{relay: i, t: t, w: lvl.W,
-				newNodes: append([]tvg.NodeID(nil), covered...)}
-			if cand.betterThan(best) {
-				best = cand
+	return c
+}
+
+// levels returns relay i's cost set at its k-th point. Rounds walk a
+// relay's points in order from its cursor, so the filled sets are
+// always a prefix of the row and k is at most one past it.
+func (c *costTable) levels(i tvg.NodeID, k int) []tveg.CostLevel {
+	if k == len(c.dcs[i]) {
+		c.dcs[i] = append(c.dcs[i], c.view.DCS(i, c.pts[i][k]))
+		c.fills++
+	}
+	return c.dcs[i][k]
+}
+
+// advance moves informed relay i's cursor to its first point with an
+// uninformed level and returns that point and level; ok is false when
+// no point is left. A point passed over never informs anyone new
+// again, because the informed set only grows.
+func (c *costTable) advance(i tvg.NodeID, inf *informedSet) (k int, lvl tveg.CostLevel, ok bool) {
+	if c.next[i] < 0 {
+		c.pts[i] = c.pts[i][sort.SearchFloat64s(c.pts[i], inf.time(i)-schedule.TimeTol):]
+		c.next[i] = 0
+	}
+	for k = c.next[i]; k < len(c.pts[i]); k++ {
+		for _, lvl = range c.levels(i, k) {
+			if !inf.informed(lvl.Node) {
+				c.next[i] = k
+				return k, lvl, true
 			}
 		}
 	}
-	return best
-}
-
-// transmissionTimes enumerates the candidate transmission times of node i
-// within [from, deadline-τ], drawn from its DTS points.
-func transmissionTimes(view *tveg.Graph, pts [][]float64, i tvg.NodeID, from, deadline float64) []float64 {
-	tau := view.Tau()
-	var out []float64
-	for _, t := range pts[i] {
-		if t >= from-schedule.TimeTol && t+tau <= deadline+schedule.TimeTol {
-			out = append(out, t)
-		}
-	}
-	return out
+	c.next[i] = k
+	return k, tveg.CostLevel{}, false
 }
 
 // sortNodeIDs sorts node ids ascending (determinism helper).

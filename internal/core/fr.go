@@ -164,7 +164,7 @@ func (f FRGreedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	if dOpts.Obs == nil {
 		dOpts.Obs = f.Obs
 	}
-	backbone, incErr := greedyBackbone(view, src, t0, deadline, tok, dOpts)
+	backbone, incErr := greedyBackbone(view, src, t0, deadline, tok, dOpts, f.Obs)
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
@@ -213,7 +213,7 @@ func (f FRRandom) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	if dOpts.Obs == nil {
 		dOpts.Obs = f.Obs
 	}
-	backbone, incErr := randomBackbone(view, src, t0, deadline, f.Seed, tok, dOpts)
+	backbone, incErr := randomBackbone(view, src, t0, deadline, f.Seed, tok, dOpts, f.Obs)
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}

@@ -42,12 +42,13 @@ func (gr Greedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID,
 	if dOpts.Obs == nil {
 		dOpts.Obs = gr.Obs
 	}
-	return greedyBackbone(view, src, t0, deadline, cancel.FromContext(ctx), dOpts)
+	return greedyBackbone(view, src, t0, deadline, cancel.FromContext(ctx), dOpts, gr.Obs)
 }
 
 // greedyBackbone runs the coverage-greedy selection on the given view,
-// polling tok once per selection round (nil = uncancellable).
-func greedyBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, tok *cancel.Token, dOpts dts.Options) (schedule.Schedule, error) {
+// polling tok once per selection round (nil = uncancellable) and
+// counting cost-set table fills into rec's core.dcs.fills.
+func greedyBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, tok *cancel.Token, dOpts dts.Options, rec *obs.Recorder) (schedule.Schedule, error) {
 	if dOpts.Cancel == nil {
 		dOpts.Cancel = tok
 	}
@@ -56,31 +57,48 @@ func greedyBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, tok 
 		return nil, fmt.Errorf("core: GREED: %w", err)
 	}
 	inf := newInformedSet(view.N(), src, t0)
+	tab := newCostTable(view, d.Points, deadline)
 	var s schedule.Schedule
 	for !inf.allInformed() {
 		if err := tok.Check(); err != nil {
 			return nil, fmt.Errorf("core: GREED: %w", err)
 		}
-		var best *candidate
+		var best candidate
 		for i := 0; i < view.N(); i++ {
 			ni := tvg.NodeID(i)
 			if !inf.informed(ni) {
 				continue
 			}
-			for _, t := range transmissionTimes(view, d.Points, ni, inf.time(ni), deadline) {
-				if c := bestLevelCandidate(view, inf, ni, t); c != nil && c.betterThan(best) {
+			k0, _, ok := tab.advance(ni, inf)
+			if !ok {
+				continue
+			}
+			for k := k0; k < len(tab.pts[ni]); k++ {
+				// A point's best level is its last uninformed one: it
+				// informs the most new nodes, which betterThan ranks first.
+				c := candidate{relay: ni, k: k, t: tab.pts[ni][k]}
+				for _, lvl := range tab.levels(ni, k) {
+					if !inf.informed(lvl.Node) {
+						c.n++
+						c.w = lvl.W
+					}
+				}
+				if c.n > 0 && c.betterThan(best) {
 					best = c
 				}
 			}
 		}
-		if best == nil {
+		if best.n == 0 {
 			break // no transmission can inform anyone new
 		}
 		s = append(s, schedule.Transmission{Relay: best.relay, T: best.t, W: best.w})
-		for _, j := range best.newNodes {
-			inf.mark(j, best.t+view.Tau())
+		for _, lvl := range tab.levels(best.relay, best.k) {
+			if !inf.informed(lvl.Node) {
+				inf.mark(lvl.Node, best.t+view.Tau())
+			}
 		}
 	}
+	rec.Counter("core.dcs.fills").Add(int64(tab.fills))
 	s = causalSort(view, s, src, t0)
 	if un := inf.uncovered(); len(un) > 0 {
 		return s, &IncompleteError{Uncovered: un}

@@ -45,12 +45,13 @@ func (r Random) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, 
 	if dOpts.Obs == nil {
 		dOpts.Obs = r.Obs
 	}
-	return randomBackbone(view, src, t0, deadline, r.Seed, cancel.FromContext(ctx), dOpts)
+	return randomBackbone(view, src, t0, deadline, r.Seed, cancel.FromContext(ctx), dOpts, r.Obs)
 }
 
 // randomBackbone runs the random-relay selection on the given view,
-// polling tok once per selection round (nil = uncancellable).
-func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed int64, tok *cancel.Token, dOpts dts.Options) (schedule.Schedule, error) {
+// polling tok once per selection round (nil = uncancellable) and
+// counting cost-set table fills into rec's core.dcs.fills.
+func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed int64, tok *cancel.Token, dOpts dts.Options, rec *obs.Recorder) (schedule.Schedule, error) {
 	rng := rand.New(rand.NewSource(seed))
 	if dOpts.Cancel == nil {
 		dOpts.Cancel = tok
@@ -60,25 +61,23 @@ func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed
 		return nil, fmt.Errorf("core: RAND: %w", err)
 	}
 	inf := newInformedSet(view.N(), src, t0)
+	tab := newCostTable(view, d.Points, deadline)
 	var s schedule.Schedule
+	var cands []candidate
 	for !inf.allInformed() {
 		if err := tok.Check(); err != nil {
 			return nil, fmt.Errorf("core: RAND: %w", err)
 		}
 		// Collect informed nodes with any productive transmission and
-		// their earliest such opportunity.
-		var cands []*candidate
+		// their earliest such opportunity, in ascending relay order.
+		cands = cands[:0]
 		for i := 0; i < view.N(); i++ {
 			ni := tvg.NodeID(i)
 			if !inf.informed(ni) {
 				continue
 			}
-			for _, t := range transmissionTimes(view, d.Points, ni, inf.time(ni), deadline) {
-				c := minimalNewCoverage(view, inf, ni, t)
-				if c != nil {
-					cands = append(cands, c)
-					break // earliest productive time for this relay
-				}
+			if k, lvl, ok := tab.advance(ni, inf); ok {
+				cands = append(cands, candidate{relay: ni, k: k, t: tab.pts[ni][k], w: lvl.W})
 			}
 		}
 		if len(cands) == 0 {
@@ -86,29 +85,15 @@ func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed
 		}
 		pick := cands[rng.Intn(len(cands))]
 		s = append(s, schedule.Transmission{Relay: pick.relay, T: pick.t, W: pick.w})
-		for _, j := range pick.newNodes {
-			inf.mark(j, pick.t+view.Tau())
-		}
+		// The pick's cursor still rests on it: its first uninformed
+		// level is the node this transmission informs.
+		_, lvl, _ := tab.advance(pick.relay, inf)
+		inf.mark(lvl.Node, pick.t+view.Tau())
 	}
+	rec.Counter("core.dcs.fills").Add(int64(tab.fills))
 	s = causalSort(view, s, src, t0)
 	if un := inf.uncovered(); len(un) > 0 {
 		return s, &IncompleteError{Uncovered: un}
 	}
 	return s, nil
-}
-
-// minimalNewCoverage returns the cheapest DCS level of (i, t) that
-// informs at least one new node, or nil when none does. All informed
-// nodes covered along the way ride along in newNodes (they are already
-// informed, so newNodes holds only the uninformed ones).
-func minimalNewCoverage(view *tveg.Graph, inf *informedSet, i tvg.NodeID, t float64) *candidate {
-	levels := view.DCS(i, t)
-	var news []tvg.NodeID
-	for _, lvl := range levels {
-		if !inf.informed(lvl.Node) {
-			news = append(news, lvl.Node)
-			return &candidate{relay: i, t: t, w: lvl.W, newNodes: news}
-		}
-	}
-	return nil
 }

@@ -8,22 +8,18 @@ import (
 	"repro/internal/tvg"
 )
 
-// costCache memoizes the ψ cost queries the planners issue repeatedly at
-// identical coordinates: MinCost per (edge, time, model, ε) and the full
-// discrete cost set per (node, time, model, ε). Both are pure functions
+// costCache memoizes MinCost per (edge, time, model, ε), a pure function
 // of the graph's contacts and parameters, so the cache is invisible to
-// results; it exists because the auxiliary-graph construction, the greedy
-// backbones, and the candidate evaluation all re-query the same DTS
-// points, and under Rician/Nakagami models each miss pays a bisection
-// over special functions.
+// results; under Rician/Nakagami models each miss pays a bisection over
+// special functions, which the ED-function memo shares across
+// coordinates. Discrete cost sets are not cached: each DCS caller asks
+// for a given (node, time) once and keeps its own table.
 //
 // Invalidation rules (documented in DESIGN.md):
 //   - AddContact/RemoveContact/RetimeChannel invalidate selectively:
 //     an edit to the pair (a, b) deletes the MinCost entries of that
-//     pair and the DCS entries of nodes a and b (a node's cost set
-//     depends only on its own incident edges), across every model.
-//     The ED-function memo survives — it keys on channel parameters
-//     (β, ε), not coordinates.
+//     pair, across every model. The ED-function memo survives — it
+//     keys on channel parameters (β, ε), not coordinates.
 //   - WithModel views share the cache; the model is part of every key.
 //   - Params are assumed frozen once planning starts. Mutating
 //     Params.Eps is still safe (ε is part of every key); mutating the
@@ -31,7 +27,7 @@ import (
 type costCache struct {
 	// rows[i] holds node i's cached queries. A per-node row keeps
 	// readers of different nodes off each other's locks and lets an
-	// edit drop exactly its endpoints' entries.
+	// edit drop exactly its pair's entries.
 	rows   []cacheRow
 	edMemo channel.Memo
 
@@ -39,24 +35,16 @@ type costCache struct {
 	// additive: no planner reads them back, so cached results (and
 	// therefore schedules) are unaffected.
 	minCostHits, minCostMisses atomic.Int64
-	dcsHits, dcsMisses         atomic.Int64
 }
 
-// cacheRow caches node i's MinCost(i, ·, t) and DCS(i, t) results.
+// cacheRow caches node i's MinCost(i, ·, t) results.
 type cacheRow struct {
 	mu      sync.RWMutex
 	minCost map[minCostKey]float64
-	dcs     map[dcsKey][]CostLevel // treat as read-only
 }
 
 type minCostKey struct {
 	j     tvg.NodeID
-	t     float64
-	model Model
-	eps   float64
-}
-
-type dcsKey struct {
 	t     float64
 	model Model
 	eps   float64
@@ -100,23 +88,7 @@ func (r *cacheRow) storeMinCost(k minCostKey, w float64) {
 	r.mu.Unlock()
 }
 
-func (r *cacheRow) loadDCS(k dcsKey) ([]CostLevel, bool) {
-	r.mu.RLock()
-	out, ok := r.dcs[k]
-	r.mu.RUnlock()
-	return out, ok
-}
-
-func (r *cacheRow) storeDCS(k dcsKey, out []CostLevel) {
-	r.mu.Lock()
-	if r.dcs == nil {
-		r.dcs = make(map[dcsKey][]CostLevel)
-	}
-	r.dcs[k] = out
-	r.mu.Unlock()
-}
-
-// drop deletes row i's DCS entries and its MinCost entries towards j.
+// drop deletes row i's MinCost entries towards j.
 func (r *cacheRow) drop(j tvg.NodeID) {
 	r.mu.Lock()
 	for k := range r.minCost {
@@ -124,17 +96,14 @@ func (r *cacheRow) drop(j tvg.NodeID) {
 			delete(r.minCost, k)
 		}
 	}
-	r.dcs = nil
 	r.mu.Unlock()
 }
 
 // invalidatePair deletes every cached result an edit to the edge (a, b)
 // could change: the pair's MinCost entries (both orientations, every
-// model and ε) and the DCS entries of the two endpoint nodes. Only the
-// two endpoint rows are touched — other nodes' cost sets depend only on
-// their own incident edges. Hit/miss counters keep accumulating across
-// selective invalidations so cache-effectiveness metrics span edit
-// sequences.
+// model and ε). Only the two endpoint rows are touched. Hit/miss
+// counters keep accumulating across selective invalidations so
+// cache-effectiveness metrics span edit sequences.
 func (c *costCache) invalidatePair(a, b tvg.NodeID) {
 	c.rows[a].drop(b)
 	c.rows[b].drop(a)
@@ -144,21 +113,21 @@ func (c *costCache) reset() {
 	for i := range c.rows {
 		r := &c.rows[i]
 		r.mu.Lock()
-		r.minCost, r.dcs = nil, nil
+		r.minCost = nil
 		r.mu.Unlock()
 	}
 	c.edMemo.Reset()
 	c.minCostHits.Store(0)
 	c.minCostMisses.Store(0)
-	c.dcsHits.Store(0)
-	c.dcsMisses.Store(0)
 }
 
 // CacheStats is a point-in-time view of the cost cache's effectiveness:
 // one hit/miss/size triple per memoized query family.
 type CacheStats struct {
 	MinCostHits, MinCostMisses, MinCostSize int64
-	DCSHits, DCSMisses, DCSSize             int64
+	// DCSHits, DCSMisses and DCSSize always read 0: discrete cost sets
+	// are not cached. The fields stay for existing readers.
+	DCSHits, DCSMisses, DCSSize int64
 	// EDMemo is the underlying MinCost-inversion memo shared by all
 	// coordinate keys. It holds the Rician and Nakagami inversions only:
 	// Step and Rayleigh costs are computed directly and never reach it.
@@ -176,21 +145,18 @@ func (g *Graph) CostCacheStats() (CacheStats, bool) {
 	st := CacheStats{
 		MinCostHits:   c.minCostHits.Load(),
 		MinCostMisses: c.minCostMisses.Load(),
-		DCSHits:       c.dcsHits.Load(),
-		DCSMisses:     c.dcsMisses.Load(),
 		EDMemo:        c.edMemo.Stats(),
 	}
 	for i := range c.rows {
 		r := &c.rows[i]
 		r.mu.RLock()
 		st.MinCostSize += int64(len(r.minCost))
-		st.DCSSize += int64(len(r.dcs))
 		r.mu.RUnlock()
 	}
 	return st, true
 }
 
-// EnableCostCache attaches a memo cache for MinCost/DCS queries to the
+// EnableCostCache attaches a memo cache for MinCost queries to the
 // graph and returns the graph for chaining. Views created by WithModel
 // before or after share the same cache (the model is part of every key).
 // Safe for concurrent readers; idempotent.

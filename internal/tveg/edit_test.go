@@ -127,7 +127,7 @@ func TestRetimeOverlappingFromRejected(t *testing.T) {
 
 // TestEditInvalidatesOnlyAffectedCacheEntries pins the selective
 // invalidation contract: an edit to (a, b) flushes that pair's MinCost
-// and the endpoints' DCS entries and nothing else.
+// entries and nothing else, and DCS (never cached) sees the edit.
 func TestEditInvalidatesOnlyAffectedCacheEntries(t *testing.T) {
 	g := New(4, interval.Interval{Start: 0, End: 200}, 0, DefaultParams(), Static)
 	g.EnableCostCache()
@@ -161,15 +161,8 @@ func TestEditInvalidatesOnlyAffectedCacheEntries(t *testing.T) {
 	if st2.MinCostHits == st.MinCostHits {
 		t.Error("untouched pair should have served a cache hit")
 	}
-	// DCS of an edited endpoint recomputes (0 lost its only neighbor);
-	// DCS of an untouched node still hits.
+	// DCS of an edited endpoint recomputes (0 lost its only neighbor).
 	if lv := g.DCS(0, 20); len(lv) != 0 {
 		t.Errorf("DCS(0) after removal = %v, want empty", lv)
-	}
-	dcsHits := st2.DCSHits
-	g.DCS(2, 20)
-	st3, _ := g.CostCacheStats()
-	if st3.DCSHits != dcsHits+1 {
-		t.Error("DCS entry of untouched node was invalidated")
 	}
 }

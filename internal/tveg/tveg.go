@@ -308,29 +308,12 @@ type CostLevel struct {
 // DCS returns the discrete cost set W_{i,t}^di of §VI-A: the minimum
 // costs to each node adjacent to i at time t, sorted ascending.
 // Transmitting at level k's cost informs the nodes of levels 1..k.
-// When the cost cache is enabled the returned slice may be shared with
-// other callers and must not be modified.
+// Every call computes a fresh slice, which the caller owns.
 func (g *Graph) DCS(i tvg.NodeID, t float64) []CostLevel {
-	r := g.cache.row(i)
-	if r == nil {
-		return g.dcsUncached(i, t)
-	}
-	k := dcsKey{t, g.Model, g.Params.Eps}
-	if out, ok := r.loadDCS(k); ok {
-		g.cache.dcsHits.Add(1)
-		return out
-	}
-	g.cache.dcsMisses.Add(1)
-	out := g.dcsUncached(i, t)
-	r.storeDCS(k, out)
-	return out
-}
-
-func (g *Graph) dcsUncached(i tvg.NodeID, t float64) []CostLevel {
 	// The sweep walks i's row of the link index and costs each link
-	// through linkMinCost, not MinCost: the DCS cache already memoizes
-	// the composite result per (i, t), so writing every (i, j, t) into
-	// the fine-grained MinCost rows is pure map traffic.
+	// through linkMinCost, not MinCost: every DCS caller asks for a
+	// given (i, t) once and keeps the result in its own table, so
+	// writing each (i, j, t) into the MinCost rows is pure map traffic.
 	nbrs, slots := g.Row(i)
 	var out []CostLevel
 	for k, j := range nbrs {
