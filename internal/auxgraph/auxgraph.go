@@ -43,9 +43,10 @@ type Options struct {
 	// Used by the ablation benchmarks.
 	NoBroadcastAdvantage bool
 	// Workers bounds the worker pool computing the per-(node, DTS-point)
-	// discrete cost sets — the ψ-heavy part of the construction. Every
-	// (node, point) weight is independent, so the built graph is
-	// identical for every value; <= 1 runs serially.
+	// discrete cost sets — the ψ-heavy part of the construction — one
+	// node's forward sweep per task. Every node's cost sets are
+	// independent, so the built graph is identical for every value;
+	// <= 1 runs serially.
 	Workers int
 	// Obs receives the "auxgraph" phase span (with a "dcs-construct"
 	// child around the ψ-heavy DCS sweep), size attributes, and the DCS
@@ -204,7 +205,7 @@ func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *
 	}
 
 	// Enumerate the candidate (node, point) slots serially — cheap — and
-	// fan the DCS evaluations (each an independent ψ query batch) across
+	// fan the DCS evaluations (one independent sweep per node) across
 	// the worker pool; slots keep their enumeration order, so the built
 	// graph is byte-identical for every worker count.
 	type tx struct {
@@ -253,12 +254,21 @@ func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *
 			}
 		}
 	}
+	// The sweep's grain is one node: its candidates are time-ascending,
+	// so one forward DCSSweep answers all of them. The sweep is created
+	// only for a node with a slot left to fill.
 	dcsSpan := opts.Obs.StartPhase("dcs-construct")
-	err := parallel.ForEachPoolCancel(opts.Obs.Pool("auxgraph.dcs"), tok, opts.Workers, len(cands), func(k int) {
-		if done != nil && done[k] {
-			return
+	err := parallel.ForEachPoolCancel(opts.Obs.Pool("auxgraph.dcs"), tok, opts.Workers, n, func(i int) {
+		var sw *tveg.DCSSweep
+		for k := candOff[i]; k < candOff[i+1]; k++ {
+			if done != nil && done[k] {
+				continue
+			}
+			if sw == nil {
+				sw = g.NewDCSSweep(tvg.NodeID(i))
+			}
+			cands[k].levels = sw.At(cands[k].t)
 		}
-		cands[k].levels = g.DCS(cands[k].i, cands[k].t)
 	})
 	dcsSpan.SetInt("candidates", len(cands))
 	dcsSpan.SetInt("prefilled", prefilled)

@@ -17,10 +17,10 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/obs"
+	"repro/internal/schedule"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
-
-	"repro/internal/schedule"
 )
 
 // Scheduler plans a broadcast relay schedule on a TVEG for a broadcast
@@ -146,19 +146,23 @@ func (c candidate) betterThan(o candidate) bool {
 // costTable is one baseline plan's table of (relay, DTS point) cost
 // sets. pts[i] holds node i's DTS points that fit the window, first
 // t+τ ≤ deadline+TimeTol and, once i is informed, t ≥ its informed
-// time − TimeTol; dcs[i][k] is DCS(i, pts[i][k]), filled the first time
-// a round touches it and read by index afterwards.
+// time − TimeTol; dcs[i][k] is W_{i,t}^di at pts[i][k], filled the
+// first time a round touches it and read by index afterwards. Fills of
+// a relay run at ascending points, so each relay's sets come from one
+// forward DCSSweep, created at its first fill.
 type costTable struct {
-	view  *tveg.Graph
-	pts   [][]float64
-	dcs   [][][]tveg.CostLevel
-	next  []int // next[i]: i's first point that may inform someone new; -1 until i is informed
-	fills int
+	view   *tveg.Graph
+	pts    [][]float64
+	dcs    [][][]tveg.CostLevel
+	sweeps []*tveg.DCSSweep
+	next   []int // next[i]: i's first point that may inform someone new; -1 until i is informed
+	fills  int
 }
 
 func newCostTable(view *tveg.Graph, points [][]float64, deadline float64) *costTable {
 	c := &costTable{view: view, pts: make([][]float64, len(points)),
-		dcs: make([][][]tveg.CostLevel, len(points)), next: make([]int, len(points))}
+		dcs: make([][][]tveg.CostLevel, len(points)), sweeps: make([]*tveg.DCSSweep, len(points)),
+		next: make([]int, len(points))}
 	tau := view.Tau()
 	for i, p := range points {
 		// Points[i] is sorted, so the points that fit are a prefix.
@@ -173,10 +177,26 @@ func newCostTable(view *tveg.Graph, points [][]float64, deadline float64) *costT
 // always a prefix of the row and k is at most one past it.
 func (c *costTable) levels(i tvg.NodeID, k int) []tveg.CostLevel {
 	if k == len(c.dcs[i]) {
-		c.dcs[i] = append(c.dcs[i], c.view.DCS(i, c.pts[i][k]))
+		if c.sweeps[i] == nil {
+			c.sweeps[i] = c.view.NewDCSSweep(i)
+		}
+		c.dcs[i] = append(c.dcs[i], c.sweeps[i].At(c.pts[i][k]))
 		c.fills++
 	}
 	return c.dcs[i][k]
+}
+
+// record adds the table's work counters to rec: core.dcs.fills (cost
+// sets filled) and core.dcs.costs (segment costs the sweeps computed).
+func (c *costTable) record(rec *obs.Recorder) {
+	costs := 0
+	for _, sw := range c.sweeps {
+		if sw != nil {
+			costs += sw.Costs()
+		}
+	}
+	rec.Counter("core.dcs.fills").Add(int64(c.fills))
+	rec.Counter("core.dcs.costs").Add(int64(costs))
 }
 
 // advance moves informed relay i's cursor to its first point with an

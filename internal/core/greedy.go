@@ -47,7 +47,7 @@ func (gr Greedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID,
 
 // greedyBackbone runs the coverage-greedy selection on the given view,
 // polling tok once per selection round (nil = uncancellable) and
-// counting cost-set table fills into rec's core.dcs.fills.
+// counting the cost-set table's work into rec's core.dcs counters.
 func greedyBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, tok *cancel.Token, dOpts dts.Options, rec *obs.Recorder) (schedule.Schedule, error) {
 	if dOpts.Cancel == nil {
 		dOpts.Cancel = tok
@@ -98,7 +98,7 @@ func greedyBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, tok 
 			}
 		}
 	}
-	rec.Counter("core.dcs.fills").Add(int64(tab.fills))
+	tab.record(rec)
 	s = causalSort(view, s, src, t0)
 	if un := inf.uncovered(); len(un) > 0 {
 		return s, &IncompleteError{Uncovered: un}

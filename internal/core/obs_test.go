@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/tveg"
+	"repro/internal/tvg"
 )
 
 // TestObsScheduleInvariance pins the schedule-invariance contract of the
@@ -112,4 +113,40 @@ func keys(m map[string]float64) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestCostTableCountsSegmentCosts pins core.dcs.costs: each relay's
+// sweep costs a (link, segment) at most once, so a plan's count never
+// exceeds the segment total over all nodes; it is the same on every run
+// and for every worker count.
+func TestCostTableCountsSegmentCosts(t *testing.T) {
+	g := randomTrace(rand.New(rand.NewSource(5)), 10, tveg.RayleighFading, 1000)
+	segs := 0
+	for i := 0; i < g.N(); i++ {
+		for _, j := range g.EverNeighbors(tvg.NodeID(i)) {
+			segs += len(g.Segments(tvg.NodeID(i), j))
+		}
+	}
+	for _, mk := range []func(*obs.Recorder, int) Scheduler{
+		func(rec *obs.Recorder, _ int) Scheduler { return Greedy{Obs: rec} },
+		func(rec *obs.Recorder, _ int) Scheduler { return Random{Seed: 5, Obs: rec} },
+		func(rec *obs.Recorder, w int) Scheduler { return FRGreedy{Obs: rec, Workers: w} },
+		func(rec *obs.Recorder, w int) Scheduler { return FRRandom{Seed: 5, Obs: rec, Workers: w} },
+	} {
+		costs := func(workers int) int64 {
+			rec := obs.New()
+			if _, err := mk(rec, workers).Schedule(g, 0, 0, 1000); onlyIncomplete(err) != nil {
+				t.Fatal(err)
+			}
+			return rec.Counter("core.dcs.costs").Value()
+		}
+		name := mk(nil, 1).Name()
+		n := costs(1)
+		if n <= 0 || n > int64(segs) {
+			t.Errorf("%s: core.dcs.costs = %d, want in [1, %d]", name, n, segs)
+		}
+		if again := costs(2); again != n {
+			t.Errorf("%s: core.dcs.costs = %d at 1 worker, %d at 2", name, n, again)
+		}
+	}
 }

@@ -50,7 +50,7 @@ func (r Random) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, 
 
 // randomBackbone runs the random-relay selection on the given view,
 // polling tok once per selection round (nil = uncancellable) and
-// counting cost-set table fills into rec's core.dcs.fills.
+// counting the cost-set table's work into rec's core.dcs counters.
 func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed int64, tok *cancel.Token, dOpts dts.Options, rec *obs.Recorder) (schedule.Schedule, error) {
 	rng := rand.New(rand.NewSource(seed))
 	if dOpts.Cancel == nil {
@@ -90,7 +90,7 @@ func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed
 		_, lvl, _ := tab.advance(pick.relay, inf)
 		inf.mark(lvl.Node, pick.t+view.Tau())
 	}
-	rec.Counter("core.dcs.fills").Add(int64(tab.fills))
+	tab.record(rec)
 	s = causalSort(view, s, src, t0)
 	if un := inf.uncovered(); len(un) > 0 {
 		return s, &IncompleteError{Uncovered: un}

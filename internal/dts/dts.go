@@ -41,9 +41,9 @@ type Options struct {
 	// optimal schedules).
 	NoPrune bool
 	// Workers bounds the worker pool for the per-node partition
-	// filtering (the O(N·|global|) presence-query sweep). Each node's
-	// partition is computed independently, so the result is identical
-	// for every value; <= 1 runs serially.
+	// filtering (one forward presence sweep per node over the global
+	// points). Each node's partition is computed independently, so the
+	// result is identical for every value; <= 1 runs serially.
 	Workers int
 	// Obs receives the "dts" phase span, point-count attributes, and the
 	// filter-sweep pool stats. Nil (the default) records nothing.
@@ -199,8 +199,9 @@ func Build(g *tvg.Graph, t0, deadline float64, opts Options) (*DTS, error) {
 	err = parallel.ForEachPoolCancel(opts.Obs.Pool("dts.filter"), tok, opts.Workers, n, func(i int) {
 		bits := make([]uint64, words)
 		var mine []float64
+		f := degreeFilter{g: g, i: tvg.NodeID(i)}
 		for p, x := range global {
-			if opts.NoPrune || g.DegreeAt(tvg.NodeID(i), x) > 0 {
+			if opts.NoPrune || f.keep(x) {
 				mine = append(mine, x)
 				bits[p>>6] |= 1 << uint(p&63)
 			}
@@ -276,6 +277,25 @@ func globalPoints(g *tvg.Graph, t0, deadline float64, maxHops int, tok *cancel.T
 		global = base
 	}
 	return base, global, nil
+}
+
+// degreeFilter answers node i's pruning question — does i have a ρ_τ
+// neighbour at x? — for ascending x through one forward sweep over i's
+// links, built on the first query, instead of a binary search per link
+// per point.
+type degreeFilter struct {
+	g   *tvg.Graph
+	i   tvg.NodeID
+	sw  *tvg.Sweep
+	buf []int
+}
+
+func (f *degreeFilter) keep(x float64) bool {
+	if f.sw == nil {
+		f.sw = f.g.NewSweep(f.i)
+	}
+	f.buf = f.sw.Present(x, f.buf[:0])
+	return len(f.buf) > 0
 }
 
 func dedupSorted(xs []float64) []float64 {

@@ -18,7 +18,9 @@ import (
 // degree function, so every filter decision recorded in the ancestor's
 // membership bitset still holds and is inherited without touching the
 // graph. Only edited endpoints, and global points that did not exist in
-// the ancestor (no bit to inherit), are re-queried. The result is
+// the ancestor (no bit to inherit), are re-queried, through the same
+// per-node forward sweep as the cold filter; a node with nothing to
+// re-query never builds one. The result is
 // byte-identical to a cold Build at the new version: the point values
 // come from the recomputed global list and the per-node assembly runs
 // the same dedupSorted code over the same selected points.
@@ -91,11 +93,12 @@ func patch(g *tvg.Graph, parent *DTS, edits []tvg.EdgeKey, t0, deadline float64,
 	err = parallel.ForEachPoolCancel(opts.Obs.Pool("dts.patch"), tok, opts.Workers, n, func(i int) {
 		bits := make([]uint64, words)
 		var mine []float64
+		f := degreeFilter{g: g, i: tvg.NodeID(i)}
 		if edited[i] {
 			// An endpoint of an edited pair: its degree function changed,
 			// so every filter decision is recomputed (the cold code).
 			for p, x := range global {
-				if opts.NoPrune || g.DegreeAt(tvg.NodeID(i), x) > 0 {
+				if opts.NoPrune || f.keep(x) {
 					mine = append(mine, x)
 					bits[p>>6] |= 1 << uint(p&63)
 				}
@@ -122,7 +125,7 @@ func patch(g *tvg.Graph, parent *DTS, edits []tvg.EdgeKey, t0, deadline float64,
 					keep = pm[q>>6]&(1<<uint(q&63)) != 0
 					nr++
 				} else {
-					keep = opts.NoPrune || g.DegreeAt(tvg.NodeID(i), x) > 0
+					keep = opts.NoPrune || f.keep(x)
 					nf++
 				}
 				if keep {

@@ -266,13 +266,29 @@ func (g *Graph) MinCost(i, j tvg.NodeID, t float64) float64 {
 }
 
 // linkMinCost is MinCost without the coordinate cache, for the pair in
-// slot s. Step and Rayleigh costs are a threshold and one logarithm,
-// computed directly; the bisecting Rician and Nakagami inversions go
-// through the ED-function memo when the cache is enabled.
+// slot s: +Inf when ρ_τ fails or no contact covers t, else the cost of
+// the first segment covering t.
 func (g *Graph) linkMinCost(s tvg.Slot, t float64) float64 {
-	beta, ok := g.linkBeta(s, t)
+	if s == tvg.NoSlot || !g.SlotRhoTau(s, t) {
+		return math.Inf(1)
+	}
+	seg, ok := g.segmentAt(s, t)
 	if !ok {
 		return math.Inf(1)
+	}
+	return g.segmentCost(seg)
+}
+
+// segmentCost is the β → w tail shared by linkMinCost and DCSSweep: the
+// minimum cost over a link whose covering segment is seg, clamped to
+// [WMin, WMax] (+Inf above WMax or when β is infinite). Step and
+// Rayleigh costs are a threshold and one logarithm, computed directly;
+// the bisecting Rician and Nakagami inversions go through the
+// ED-function memo when the cache is enabled.
+func (g *Graph) segmentCost(seg Segment) float64 {
+	beta := g.beta(seg)
+	if math.IsInf(beta, 1) {
+		return beta
 	}
 	eps := g.Params.Eps
 	var w float64
@@ -309,11 +325,15 @@ type CostLevel struct {
 // costs to each node adjacent to i at time t, sorted ascending.
 // Transmitting at level k's cost informs the nodes of levels 1..k.
 // Every call computes a fresh slice, which the caller owns.
+//
+// DCS is the point query: it binary-searches every link of i's row and
+// costs each present one from scratch. It serves the callers whose
+// times are not ascending per node (interference, exact, CoveredBy);
+// callers that walk a node's times in order use a DCSSweep, which
+// returns bitwise the same sets. Links are costed through linkMinCost,
+// not MinCost: writing each (i, j, t) into the MinCost rows would be
+// pure map traffic for a set its caller keeps in its own table.
 func (g *Graph) DCS(i tvg.NodeID, t float64) []CostLevel {
-	// The sweep walks i's row of the link index and costs each link
-	// through linkMinCost, not MinCost: every DCS caller asks for a
-	// given (i, t) once and keeps the result in its own table, so
-	// writing each (i, j, t) into the MinCost rows is pure map traffic.
 	nbrs, slots := g.Row(i)
 	var out []CostLevel
 	for k, j := range nbrs {
@@ -322,6 +342,12 @@ func (g *Graph) DCS(i tvg.NodeID, t float64) []CostLevel {
 			out = append(out, CostLevel{w, j})
 		}
 	}
+	sortLevels(out)
+	return out
+}
+
+// sortLevels orders a cost set by cost, then node id.
+func sortLevels(out []CostLevel) {
 	slices.SortFunc(out, func(a, b CostLevel) int {
 		if a.W != b.W {
 			if a.W < b.W {
@@ -331,7 +357,6 @@ func (g *Graph) DCS(i tvg.NodeID, t float64) []CostLevel {
 		}
 		return cmp.Compare(a.Node, b.Node)
 	})
-	return out
 }
 
 // CoveredBy returns the nodes informed when i broadcasts at cost w at

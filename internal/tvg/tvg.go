@@ -169,20 +169,11 @@ func (g *Graph) EverNeighbors(i NodeID) []NodeID {
 	return g.rows[i].nbrs
 }
 
-// NeighborsAt appends to dst the nodes adjacent to i at time t (in the
-// ρ_τ sense) and returns the extended slice, sorted.
-func (g *Graph) NeighborsAt(i NodeID, t float64, dst []NodeID) []NodeID {
-	g.checkNode(i)
-	r := &g.rows[i]
-	for k, j := range r.nbrs {
-		if g.SlotRhoTau(r.slots[k], t) {
-			dst = append(dst, j)
-		}
-	}
-	return dst
-}
-
-// DegreeAt returns the number of nodes adjacent to i at time t.
+// DegreeAt returns the number of nodes adjacent to i at time t. It
+// binary-searches every link of i's row; callers that query a node at
+// ascending times use a Sweep instead. DegreeAt stays for Fig. 7's
+// AverageDegreeAt, which samples a handful of far-apart times per node,
+// where sorting a sweep's events would cost more than it saves.
 func (g *Graph) DegreeAt(i NodeID, t float64) int {
 	g.checkNode(i)
 	d := 0

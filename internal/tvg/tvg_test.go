@@ -3,6 +3,7 @@ package tvg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -79,15 +80,28 @@ func TestRhoTau(t *testing.T) {
 	}
 }
 
+// neighborsAt lists the nodes adjacent to i at t (in the ρ_τ sense),
+// sorted, as a forward sweep over i's links reports them.
+func neighborsAt(g *Graph, sw *Sweep, i NodeID, t float64) []NodeID {
+	nbrs, _ := g.Row(i)
+	var out []NodeID
+	for _, k := range sw.Present(t, nil) {
+		out = append(out, nbrs[k])
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestNeighborsAt(t *testing.T) {
 	g := lineGraph()
-	got := g.NeighborsAt(1, 27, nil)
+	sw := g.NewSweep(1)
+	got := neighborsAt(g, sw, 1, 27)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("NeighborsAt(1, 27) = %v, want [0 2]", got)
+		t.Errorf("neighbours of 1 at 27 = %v, want [0 2]", got)
 	}
-	got = g.NeighborsAt(1, 50, nil)
+	got = neighborsAt(g, sw, 1, 50)
 	if len(got) != 0 {
-		t.Errorf("NeighborsAt(1, 50) = %v, want []", got)
+		t.Errorf("neighbours of 1 at 50 = %v, want []", got)
 	}
 }
 
@@ -300,8 +314,9 @@ func TestQuickAdjacencyConstantWithinPartition(t *testing.T) {
 				// sample two interior points; neighbor sets must match
 				t1 := lo + (hi-lo)*0.25
 				t2 := lo + (hi-lo)*0.75
-				n1 := g.NeighborsAt(NodeID(i), t1, nil)
-				n2 := g.NeighborsAt(NodeID(i), t2, nil)
+				sw := g.NewSweep(NodeID(i))
+				n1 := neighborsAt(g, sw, NodeID(i), t1)
+				n2 := neighborsAt(g, sw, NodeID(i), t2)
 				if len(n1) != len(n2) {
 					return false
 				}
